@@ -2,8 +2,9 @@
 //
 // Calibrates the per-step costs behind the CostModel: MF SGD steps at
 // several embedding sizes, DNN minibatch training at the paper's 215k-
-// parameter configuration, model serialization, and the two merge flavours
-// (pairwise RMW average and Metropolis–Hastings weighted D-PSGD average).
+// parameter configuration, model serialization, the two merge flavours
+// (pairwise RMW average and Metropolis–Hastings weighted D-PSGD average), and
+// the D-PSGD merge straight from wire blobs at the Table II shape.
 #include <benchmark/benchmark.h>
 
 #include "data/movielens.hpp"
@@ -129,6 +130,45 @@ void BM_MfMergeDpsgd(benchmark::State& state) {
                           static_cast<std::int64_t>(peers));
 }
 BENCHMARK(BM_MfMergeDpsgd)->Arg(2)->Arg(6)->Arg(27);
+
+void BM_MlMergeSerialized(benchmark::State& state) {
+  // One D-PSGD merge of `range(0)` neighbor models read straight from their
+  // exact wire blobs, at the Table II model-sharing shape (128 users x 9,000
+  // items, k = 10). Named after the end-to-end benchmark's `ml.merge` layer.
+  // Every model trains a full pass first, so each has seen every rated row:
+  // the steady-state mask shape of that cell.
+  data::SyntheticConfig data_config = data::movielens_latest_config();
+  data_config.n_users = 128;
+  data_config.n_ratings = 20983;
+  data_config.seed = 14;
+  const data::Dataset d = data::generate_synthetic(data_config);
+  const auto trained = [&](std::uint64_t seed) {
+    Rng init_rng(seed);
+    ml::MfModel model(mf_config(d, 10), init_rng);
+    Rng train_rng(seed + 1);
+    model.train_full_pass(d.ratings, train_rng);
+    return model;
+  };
+  ml::MfModel model = trained(15);
+  const std::size_t peers = static_cast<std::size_t>(state.range(0));
+  std::vector<Bytes> blobs;
+  std::vector<ml::SerializedSource> sources;
+  for (std::size_t p = 0; p < peers; ++p) {
+    blobs.push_back(trained(100 + 2 * p).serialize());
+  }
+  for (const Bytes& blob : blobs) {
+    sources.push_back(
+        ml::SerializedSource{blob, 0.5 / static_cast<double>(peers)});
+  }
+  for (auto _ : state) {
+    model.merge_serialized(sources, 0.5);
+    benchmark::DoNotOptimize(model.parameter_count());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(blobs.front().size()) *
+                          static_cast<std::int64_t>(peers));
+}
+BENCHMARK(BM_MlMergeSerialized)->Name("ml.merge/serialized")->Arg(30);
 
 void BM_DnnTrainBatch(benchmark::State& state) {
   const data::Dataset d = bench_dataset();

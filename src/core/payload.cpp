@@ -52,7 +52,14 @@ ProtocolPayload ProtocolPayload::decode(BytesView bytes) {
 }
 
 void ProtocolPayload::decode_into(BytesView bytes, ProtocolPayload& out) {
+  // assign() so a recycled model_blob keeps its capacity.
+  const BytesView blob = decode_view(bytes, out);
+  out.model_blob.assign(blob.begin(), blob.end());
+}
+
+BytesView ProtocolPayload::decode_view(BytesView bytes, ProtocolPayload& out) {
   serialize::BinaryReader r(bytes);
+  BytesView blob;
   out.ratings.clear();
   out.model_blob.clear();
   out.resync_gen = 0;  // recycled decode targets must not leak a stale gen
@@ -82,11 +89,9 @@ void ProtocolPayload::decode_into(BytesView bytes, ProtocolPayload& out) {
     }
     case PayloadKind::kModel:
     case PayloadKind::kModelQuantized: {
-      // bytes() framing (varint length + raw), assigned so a recycled
-      // model_blob keeps its capacity.
+      // bytes() framing (varint length + raw).
       const std::uint64_t n = r.varint();
-      const BytesView raw = r.raw(n);
-      out.model_blob.assign(raw.begin(), raw.end());
+      blob = r.raw(n);
       break;
     }
     case PayloadKind::kRawDataCompressed:
@@ -105,12 +110,12 @@ void ProtocolPayload::decode_into(BytesView bytes, ProtocolPayload& out) {
     case PayloadKind::kResyncModel: {
       out.resync_gen = r.varint();
       const std::uint64_t n = r.varint();
-      const BytesView raw = r.raw(n);
-      out.model_blob.assign(raw.begin(), raw.end());
+      blob = r.raw(n);
       break;
     }
   }
   r.expect_end();
+  return blob;
 }
 
 }  // namespace rex::core

@@ -65,6 +65,13 @@ struct ProtocolPayload {
   /// Decodes into `out`, recycling its ratings/model_blob heap capacity —
   /// the receive path's counterpart of encode(scratch).
   static void decode_into(BytesView bytes, ProtocolPayload& out);
+  /// decode_into without the model-blob copy: every other field decodes
+  /// the same, `out.model_blob` is left empty, and the blob (kModel,
+  /// kModelQuantized, kResyncModel) is returned as a view into `bytes` —
+  /// empty for other kinds. The receive path keeps the wire image alive and
+  /// merges from it (DESIGN.md §7 "Merge from the wire").
+  [[nodiscard]] static BytesView decode_view(BytesView bytes,
+                                             ProtocolPayload& out);
 };
 
 }  // namespace rex::core

@@ -249,7 +249,7 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
     }
     auto& sess = session(src);
     runtime_.record_crypto(blob.size());
-    const std::optional<Bytes> opened =
+    std::optional<Bytes> opened =
         crypto::aead_open(sess.session_key(), sess.resync_recv_nonce_for(seq),
                           frame_aad(src, id_), ciphertext);
     if (!opened.has_value() || !sess.accept_resync_recv_sequence(seq)) {
@@ -257,9 +257,10 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
       input_pool_.push_back(std::move(input));
       return;
     }
-    ProtocolPayload::decode_into(*opened, input.payload);
+    input.plaintext = std::move(*opened);  // outlives this block's scope
+    input.blob = ProtocolPayload::decode_view(input.plaintext, input.payload);
   } else {
-    ProtocolPayload::decode_into(blob, input.payload);
+    input.blob = ProtocolPayload::decode_view(blob, input.payload);
   }
 
   if (input.payload.kind == PayloadKind::kResyncRequest ||
@@ -285,11 +286,11 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
     // replies arrive in the engine's deterministic delivery order. Late
     // replies (after a watchdog force-completion) still merge — fresher
     // state never hurts a node that was stale anyway.
-    if (!input.payload.model_blob.empty()) {
-      ml::RecModel& alien = alien_scratch(0);
-      alien.deserialize(input.payload.model_blob);
-      const ml::MergeSource source{&alien, 0.5};
-      model_->merge(std::span<const ml::MergeSource>(&source, 1), 0.5);
+    if (!input.blob.empty()) {
+      charge_merge_buffer(0, input.blob);
+      const ml::SerializedSource source{input.blob, 0.5};
+      model_->merge_serialized(
+          std::span<const ml::SerializedSource>(&source, 1), 0.5);
       ++resync_models_merged_;
     }
     // Only replies to *this* rejoin's requests count towards completion; a
@@ -303,9 +304,14 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
   } else {
     REX_REQUIRE(false, "non-resync payload on the resync path");
   }
+  recycle_input(std::move(input));
+}
 
+void TrustedNode::recycle_input(PendingInput&& input) {
   input.payload.ratings.clear();
-  input.payload.model_blob.clear();
+  input.wire = SharedBytes{};
+  input.plaintext = Bytes{};
+  input.blob = BytesView{};
   input_pool_.push_back(std::move(input));
 }
 
@@ -420,8 +426,9 @@ TrustedNode::QueryAnswer TrustedNode::query_topk(data::UserId user,
   return QueryAnswer{topk_.query(*model_, user, k, seen_mask_), epoch_};
 }
 
-void TrustedNode::ecall_input(NodeId src, BytesView blob) {
+void TrustedNode::ecall_input(NodeId src, const SharedBytes& wire) {
   REX_REQUIRE(initialized_, "protocol message before ecall_init");
+  const BytesView blob = wire.view();
   runtime_.record_ecall(blob.size());
 
   // Algorithm 2 lines 6-11: identify the source; decrypt if a session
@@ -508,12 +515,15 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
       REX_REQUIRE(sess.accept_recv_sequence(seq), "replayed secure payload");
     }
     plaintext_size = opened->size();
-    ProtocolPayload::decode_into(*opened, input.payload);
+    input.blob = ProtocolPayload::decode_view(*opened, input.payload);
+    // Moving the vector keeps its storage, so the view stays valid.
+    if (!input.blob.empty()) input.plaintext = std::move(*opened);
   } else {
-    // Native runs decode straight off the (shared, immutable) wire buffer —
-    // no plaintext staging copy per delivery.
+    // Native runs decode straight off the (shared, immutable) wire buffer;
+    // a model share keeps a reference to it rather than a copy.
     plaintext_size = blob.size();
-    ProtocolPayload::decode_into(blob, input.payload);
+    input.blob = ProtocolPayload::decode_view(blob, input.payload);
+    if (!input.blob.empty()) input.wire = wire;
   }
   // Arrivals queue FIFO per neighbor: under event-driven scheduling a fast
   // neighbor may deliver round k+1 while we still wait on a slower one for
@@ -536,9 +546,7 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
     // The epoch-level replay check: in native runs (no AEAD sequence
     // stream) this is the only guard a duplicated envelope hits.
     ++replays_rejected_;  // count-and-discard (DESIGN.md §8)
-    input.payload.ratings.clear();
-    input.payload.model_blob.clear();
-    input_pool_.push_back(std::move(input));
+    recycle_input(std::move(input));
     return;
   }
   REX_REQUIRE(
@@ -577,7 +585,7 @@ void TrustedNode::ecall_input_batch(std::span<const InputFrame> frames) {
   // runs would shift bytes into the wrong epoch's counters. The win is the
   // single ecall boundary and the decode loop's locality, not reordering.
   for (const InputFrame& frame : frames) {
-    ecall_input(frame.src, frame.blob);
+    ecall_input(frame.src, *frame.wire);
   }
 }
 
@@ -631,16 +639,14 @@ void TrustedNode::merge_step() {
     // is processed *in place*: a round moves no PendingInput through a
     // staging vector, which profiled as a top merge cost at 10k nodes.
     // Model sharing gathers the Metropolis–Hastings weighted sources first
-    // (§III-C2; the self weight absorbs the remainder), with alien models
-    // materialized into a reusable scratch pool — deserialize overwrites
-    // every field, so recycling clones avoids re-running the (expensive)
-    // random initialization of a factory-fresh model per merge.
-    std::vector<ml::MergeSource> sources;
+    // (§III-C2; the self weight absorbs the remainder) and merges straight
+    // from the buffered wire images (DESIGN.md §7 "Merge from the wire").
+    std::vector<ml::SerializedSource> sources;
     double neighbor_weight_total = 0.0;
-    std::size_t pool_index = 0;
     for (NeighborSlot& slot : slots_) {
       if (slot.inputs.empty()) continue;
-      const ProtocolPayload& payload = slot.inputs.front().payload;
+      const PendingInput& input = slot.inputs.front();
+      const ProtocolPayload& payload = input.payload;
       if (config_.sharing == SharingMode::kRawData) {
         // Algorithm 2 line 16: append all non-duplicate alien data items.
         if (payload.kind == PayloadKind::kRawData ||
@@ -649,30 +655,27 @@ void TrustedNode::merge_step() {
         }
       } else if (payload.kind == PayloadKind::kModel ||
                  payload.kind == PayloadKind::kModelQuantized) {
-        // The blob self-describes its codec; deserialize dispatches on it.
-        ml::RecModel& alien = alien_scratch(pool_index++);
-        alien.deserialize(payload.model_blob);
+        // The blob self-describes its codec; the merge dispatches on it.
+        charge_merge_buffer(sources.size(), input.blob);
         const double w = graph::metropolis_hastings_weight(
             neighbors_.size(), payload.sender_degree);
-        sources.push_back(ml::MergeSource{&alien, w});
+        sources.push_back(ml::SerializedSource{input.blob, w});
         neighbor_weight_total += w;
-        counters_.merged_params += alien.parameter_count();
+        counters_.merged_params += model_->parameter_count();
         ++counters_.models_merged;
       }
     }
     if (!sources.empty()) {
-      model_->merge(sources, 1.0 - neighbor_weight_total);
+      model_->merge_serialized(sources, 1.0 - neighbor_weight_total);
     }
-    // Release the consumed fronts, recycling their buffers as the next
-    // deliveries' decode targets (cleared, capacity kept).
+    // Release the consumed fronts (and their wire images), recycling them
+    // as the next deliveries' decode targets.
     for (NeighborSlot& slot : slots_) {
       if (slot.inputs.empty()) continue;
       PendingInput input = std::move(slot.inputs.front());
       slot.inputs.erase(slot.inputs.begin());
       if (slot.inputs.empty()) --filled_slots_;
-      input.payload.ratings.clear();
-      input.payload.model_blob.clear();
-      input_pool_.push_back(std::move(input));
+      recycle_input(std::move(input));
     }
     return;
   }
@@ -705,28 +708,24 @@ void TrustedNode::merge_step() {
     } else if (payload.kind == PayloadKind::kModel ||
                payload.kind == PayloadKind::kModelQuantized) {
       // Pairwise averaging in arrival order (§III-C1).
-      ml::RecModel& alien = alien_scratch(0);
-      alien.deserialize(payload.model_blob);
-      const ml::MergeSource source{&alien, 0.5};
-      model_->merge(std::span<const ml::MergeSource>(&source, 1), 0.5);
-      counters_.merged_params += alien.parameter_count();
+      charge_merge_buffer(0, input.blob);
+      const ml::SerializedSource source{input.blob, 0.5};
+      model_->merge_serialized(
+          std::span<const ml::SerializedSource>(&source, 1), 0.5);
+      counters_.merged_params += model_->parameter_count();
       ++counters_.models_merged;
     }
   }
 
-  // Recycle the consumed inputs: their ratings/model_blob buffers become
-  // the next deliveries' decode targets (cleared, capacity kept).
-  for (PendingInput& input : round) {
-    input.payload.ratings.clear();
-    input.payload.model_blob.clear();
-    input_pool_.push_back(std::move(input));
-  }
+  // Recycle the consumed inputs: their ratings buffers become the next
+  // deliveries' decode targets (cleared, capacity kept).
+  for (PendingInput& input : round) recycle_input(std::move(input));
   round.clear();
 }
 
-ml::RecModel& TrustedNode::alien_scratch(std::size_t index) {
-  while (alien_pool_.size() <= index) alien_pool_.push_back(model_->clone());
-  return *alien_pool_[index];
+void TrustedNode::charge_merge_buffer(std::size_t index, BytesView blob) {
+  if (merge_buffers_.size() <= index) merge_buffers_.resize(index + 1);
+  model_->charge_merge_buffer(blob, merge_buffers_[index]);
 }
 
 void TrustedNode::append_raw_data(const std::vector<data::Rating>& ratings) {
@@ -894,7 +893,7 @@ void TrustedNode::release_transient_buffers() {
   input_pool_.shrink_to_fit();
   round_scratch_.clear();
   round_scratch_.shrink_to_fit();
-  alien_pool_.clear();
+  merge_buffers_.clear();
   seen_mask_.clear();
   seen_mask_.shrink_to_fit();
   seen_mask_valid_ = false;
@@ -907,14 +906,17 @@ std::size_t TrustedNode::memory_footprint() const {
   // (~16 B per bucket entry in a typical unordered_set layout), the local
   // test set, and the pending payload buffers.
   std::size_t bytes = model_->memory_footprint();
-  // Merge scratch buffers (model sharing materializes alien models).
-  for (const auto& alien : alien_pool_) bytes += alien->memory_footprint();
+  // Model sharing's merge buffers: modeled, not the host's allocations
+  // (see merge_buffers_).
+  for (const ml::MergeBufferLedger& buffer : merge_buffers_) {
+    bytes += buffer.bytes;
+  }
   bytes += store_.capacity() * sizeof(data::Rating);
   bytes += store_index_.size() * 16;
   bytes += test_data_.capacity() * sizeof(data::Rating);
   for (const NeighborSlot& slot : slots_) {
     for (const PendingInput& input : slot.inputs) {
-      bytes += input.payload.model_blob.size() +
+      bytes += input.blob.size() +
                input.payload.ratings.capacity() * sizeof(data::Rating);
     }
   }

@@ -173,14 +173,17 @@ class TrustedNode {
   void ecall_init(TrustedInit init);
 
   /// ecall_input: protocol message from `src`. Decrypts (SGX mode), buffers,
-  /// and — for D-PSGD — runs the epoch once all neighbors delivered.
-  void ecall_input(NodeId src, BytesView blob);
+  /// and — for D-PSGD — runs the epoch once all neighbors delivered. A
+  /// buffered model share keeps the bytes it arrived in (a reference to
+  /// the immutable `wire` buffer natively, the opened plaintext under SGX)
+  /// until merge_step consumes it.
+  void ecall_input(NodeId src, const SharedBytes& wire);
 
-  /// One buffered delivery for ecall_input_batch: the sender plus a view of
-  /// the wire blob (the caller keeps the backing envelopes alive).
+  /// One buffered delivery for ecall_input_batch: the sender plus the wire
+  /// blob (the caller keeps the backing envelopes alive for the call).
   struct InputFrame {
     NodeId src = 0;
-    BytesView blob;
+    const SharedBytes* wire = nullptr;
   };
 
   /// Batched ecall_input: one enclave entry for a run of same-timestamp
@@ -253,8 +256,8 @@ class TrustedNode {
   /// stream), so only the ciphertexts are per-edge.
   void share_with(std::span<const NodeId> dsts, Bytes plaintext);
   [[nodiscard]] ProtocolPayload build_share_payload();
-  /// Reusable alien-model buffer for merge_step (grown on demand).
-  [[nodiscard]] ml::RecModel& alien_scratch(std::size_t index);
+  /// Charges `blob` to modeled merge buffer `index` (see merge_buffers_).
+  void charge_merge_buffer(std::size_t index, BytesView blob);
   void append_raw_data(const std::vector<data::Rating>& ratings);
   [[nodiscard]] static std::uint64_t pair_key(const data::Rating& r) {
     return (static_cast<std::uint64_t>(r.user) << 32) | r.item;
@@ -349,7 +352,14 @@ class TrustedNode {
   std::uint64_t plaintext_shares_sent_ = 0;
 
   std::unique_ptr<ml::RecModel> model_;
-  std::vector<std::unique_ptr<ml::RecModel>> alien_pool_;  // merge scratch
+  /// Enclave memory of the merge buffers, one per neighbor model merged
+  /// since the last release_transient_buffers(). Merges read the wire
+  /// images in place, but the enclave this node models deserializes each
+  /// neighbor model into a buffer of the model's size, so the ledger keeps
+  /// charging those bytes (DESIGN.md §7 "Merge from the wire"):
+  /// memory_bytes, EPC paging and simulated time do not depend on how the
+  /// host merges.
+  std::vector<ml::MergeBufferLedger> merge_buffers_;
   std::vector<data::Rating> store_;       // raw-data store (protected memory)
   FlatSet64 store_index_;                 // duplicate filter (hot path)
   std::vector<data::Rating> test_data_;   // owned (empty with shared_test)
@@ -358,9 +368,14 @@ class TrustedNode {
 
   /// One buffered protocol input: the payload plus its arrival rank (the
   /// order ecall_input saw it), so RMW can merge in true arrival order
-  /// (§III-C1) even when the event engine interleaves neighbors.
+  /// (§III-C1) even when the event engine interleaves neighbors. A model
+  /// payload decodes header-only: `blob` views the model bytes inside the
+  /// buffer this input holds — `wire` (native) or `plaintext` (SGX).
   struct PendingInput {
     ProtocolPayload payload;
+    SharedBytes wire;
+    Bytes plaintext;
+    BytesView blob;
     std::uint64_t arrival = 0;
   };
 
@@ -368,6 +383,9 @@ class TrustedNode {
   [[nodiscard]] std::size_t neighbor_index(NodeId src) const;
   /// (Re)sizes the per-neighbor slot arrays after neighbors_ changes.
   void reset_neighbor_state();
+  /// Returns a consumed or rejected input to input_pool_: its ratings keep
+  /// their capacity, its wire image is released.
+  void recycle_input(PendingInput&& input);
   /// Recycled PendingInput (freelist pop or fresh). Inline: one call per
   /// delivered protocol message.
   [[nodiscard]] PendingInput acquire_input() {
@@ -395,8 +413,8 @@ class TrustedNode {
   std::vector<NeighborSlot> slots_;
   /// Slots currently holding >= 1 input (D-PSGD readiness test in O(1)).
   std::size_t filled_slots_ = 0;
-  /// Spent PendingInputs, recycled so decode_into reuses their ratings /
-  /// model_blob capacity instead of allocating per delivery.
+  /// Spent PendingInputs, recycled so decoding reuses their ratings
+  /// capacity instead of allocating per delivery.
   std::vector<PendingInput> input_pool_;
   std::vector<PendingInput> round_scratch_;  // merge_step staging
   std::uint64_t arrival_counter_ = 0;

@@ -72,8 +72,8 @@ void UntrustedHost::on_deliver_batch(
   for (const net::Envelope* envelope : envelopes) {
     REX_REQUIRE(envelope->dst == id_, "envelope delivered to the wrong host");
     if (envelope->kind == net::MessageKind::kProtocol) {
-      frames.push_back(TrustedNode::InputFrame{envelope->src,
-                                               envelope->payload});
+      frames.push_back(
+          TrustedNode::InputFrame{envelope->src, &envelope->payload});
       continue;
     }
     flush();

@@ -332,6 +332,24 @@ void DnnModel::merge(std::span<const MergeSource> sources,
              &DnnModel::seen_item_);
 }
 
+void DnnModel::merge_serialized(std::span<const SerializedSource> sources,
+                                double self_weight) {
+  if (sources.empty()) return;
+  // Every blob decodes before merge() writes anything: a bad one throws
+  // with this model untouched.
+  std::vector<MergeSource> peers;
+  peers.reserve(sources.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    if (merge_scratch_.models.size() <= s) {
+      merge_scratch_.models.push_back(std::make_unique<DnnModel>(*this));
+    }
+    DnnModel& peer = *merge_scratch_.models[s];
+    peer.deserialize(sources[s].blob);
+    peers.push_back(MergeSource{&peer, sources[s].weight});
+  }
+  merge(peers, self_weight);
+}
+
 Bytes DnnModel::serialize() const {
   serialize::BinaryWriter w;
   w.str(kind());

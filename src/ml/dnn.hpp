@@ -46,6 +46,10 @@ class DnnModel final : public RecModel {
                               data::ItemId item) const override;
   void merge(std::span<const MergeSource> sources,
              double self_weight) override;
+  /// Deserializes each blob into a scratch clone this model owns, then
+  /// merge()s them: the DNN has no in-place wire merge.
+  void merge_serialized(std::span<const SerializedSource> sources,
+                        double self_weight) override;
   [[nodiscard]] Bytes serialize() const override;
   void deserialize(BytesView payload) override;
   [[nodiscard]] std::size_t train_samples_per_epoch() const override {
@@ -120,6 +124,16 @@ class DnnModel final : public RecModel {
   Adam item_emb_optimizer_;
   mutable Workspace scratch_;  // reused across samples; models are not
                                // shared across threads (one model per node)
+  /// merge_serialized() scratch: deserialized neighbor models, recycled
+  /// across merges (a clone skips the random init of a fresh model). Not
+  /// part of the model's value, so copies start empty.
+  struct MergeScratch {
+    std::vector<std::unique_ptr<DnnModel>> models;
+    MergeScratch() = default;
+    MergeScratch(const MergeScratch& /*other*/) {}
+    MergeScratch& operator=(const MergeScratch& /*other*/) { return *this; }
+  };
+  MergeScratch merge_scratch_;
 };
 
 }  // namespace rex::ml

@@ -1,7 +1,9 @@
 #include "ml/mf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "linalg/simd_kernels.hpp"
 #include "linalg/vector_ops.hpp"
@@ -180,89 +182,6 @@ void MfModel::train_full_pass(std::span<const data::Rating> dataset,
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   rng.shuffle(order);
   for (std::size_t idx : order) sgd_step(dataset[idx]);
-}
-
-void MfModel::merge(std::span<const MergeSource> sources, double self_weight) {
-  if (sources.empty()) return;
-  std::vector<const MfModel*> peers;
-  peers.reserve(sources.size());
-  for (const MergeSource& s : sources) {
-    const auto* peer = dynamic_cast<const MfModel*>(s.model);
-    REX_REQUIRE(peer != nullptr, "merge: model kind mismatch");
-    REX_REQUIRE(peer->config_.n_users == config_.n_users &&
-                    peer->config_.n_items == config_.n_items &&
-                    peer->config_.embedding_dim == config_.embedding_dim,
-                "merge: MF shape mismatch");
-    peers.push_back(peer);
-  }
-
-  // User rows: only holders of a row participate; weights renormalize over
-  // the participating subset (paper §III-C2). A row nobody has seen keeps
-  // this node's (randomly initialized) values. The weighted average is
-  // computed in place: the first participating peer folds the self term in
-  // via one fused weighted_sum_inplace pass (dst = w_self*dst + w_peer*peer)
-  // and later peers axpy on top — no zero-filled temp row, no copy-back.
-  // The rounding sequence (one multiply per term, one add per sum step) is
-  // identical to the old accumulator's, so merges are bit-stable.
-  // Lazy stores walk the same dense index space: a seen row is always
-  // materialized, so peer reads never hit the seeded-scratch path, and a
-  // row nobody participates in is skipped before any slot is created.
-  for (data::UserId u = 0; u < config_.n_users; ++u) {
-    const bool self_seen = has_seen_user(u);
-    double total = self_seen ? self_weight : 0.0;
-    for (std::size_t s = 0; s < peers.size(); ++s) {
-      if (peers[s]->has_seen_user(u)) total += sources[s].weight;
-    }
-    if (total <= 0.0) continue;
-    const auto row = user_row_mut(u);
-    const float self_w =
-        self_seen ? static_cast<float>(self_weight / total) : 0.0f;
-    float bias = self_seen ? self_w * user_bias_at(u) : 0.0f;
-    bool fused = false;  // row already rescaled into the weighted sum
-    for (std::size_t s = 0; s < peers.size(); ++s) {
-      if (!peers[s]->has_seen_user(u)) continue;
-      const float w = static_cast<float>(sources[s].weight / total);
-      if (!fused) {
-        linalg::weighted_sum_inplace(row, self_w, peers[s]->user_row(u), w);
-        fused = true;
-      } else {
-        linalg::axpy(w, peers[s]->user_row(u), row);
-      }
-      bias += w * peers[s]->user_bias_at(u);
-      mark_user_seen(u);  // row knowledge propagates with the merge
-    }
-    // Self the only participant degenerates to w_self == 1: row and bias
-    // are left exactly as they were.
-    user_bias_ref(u) = bias;
-  }
-
-  // Item rows: identical policy.
-  for (data::ItemId i = 0; i < config_.n_items; ++i) {
-    double total = seen_item_[i] ? self_weight : 0.0;
-    for (std::size_t s = 0; s < peers.size(); ++s) {
-      if (peers[s]->seen_item_[i]) total += sources[s].weight;
-    }
-    if (total <= 0.0) continue;
-    const auto row = item_embeddings_.row(i);
-    const float self_w =
-        seen_item_[i] ? static_cast<float>(self_weight / total) : 0.0f;
-    float bias = seen_item_[i] ? self_w * item_bias_[i] : 0.0f;
-    bool fused = false;
-    for (std::size_t s = 0; s < peers.size(); ++s) {
-      if (!peers[s]->seen_item_[i]) continue;
-      const float w = static_cast<float>(sources[s].weight / total);
-      if (!fused) {
-        linalg::weighted_sum_inplace(row, self_w,
-                                     peers[s]->item_embeddings_.row(i), w);
-        fused = true;
-      } else {
-        linalg::axpy(w, peers[s]->item_embeddings_.row(i), row);
-      }
-      bias += w * peers[s]->item_bias_[i];
-      seen_item_[i] = 1;
-    }
-    item_bias_[i] = bias;
-  }
 }
 
 void MfModel::dense_user_image(std::vector<float>& rows,
@@ -597,6 +516,459 @@ void MfModel::deserialize_sliced(serialize::BinaryReader& r) {
   r.expect_end();
 }
 
+// ===== Merge (DESIGN.md §7 "Merge from the wire") =====
+//
+// Every merge — of models or of wire blobs — runs one peer-major kernel.
+// Pass 1 walks each source's seen mask once and records, per row, the
+// participating weight (self first, then sources in order: the summation
+// order of the old row-major loop) and the first participating source.
+// Pass 2 applies the sources in order, each over its contiguous tensors:
+// a row's first participant folds the self term in (dst = w_self*dst +
+// w_peer*peer, the old fused weighted_sum) and later participants add
+// w_peer*peer on top (the old axpy). Per element that is the same IEEE
+// multiplies and adds in the same order as the row-major loop, so results
+// are bit-identical while each neighbor's model streams through cache
+// once.
+
+namespace {
+
+constexpr std::uint32_t kNoSource = static_cast<std::uint32_t>(-1);
+
+float load_f32(const std::uint8_t* p) {
+  float v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+bool mask_bit(const std::uint8_t* bits, std::size_t i) {
+  return ((bits[i / 8] >> (i % 8)) & 1) != 0;
+}
+
+/// Calls fn(i) for every set bit i < n of a packed mask, 64 bits at a
+/// time: the loops branch per set bit and per word, not per row, so an
+/// unpredictable seen pattern costs no mispredicted branch per row.
+template <class Fn>
+void for_each_set_bit(const std::uint8_t* bits, std::size_t n, const Fn& fn) {
+  const std::size_t bytes = (n + 7) / 8;
+  for (std::size_t base = 0; base < n; base += 64) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bits + base / 8,
+                std::min<std::size_t>(8, bytes - base / 8));
+    if (n - base < 64) word &= (std::uint64_t{1} << (n - base)) - 1;
+    for (; word != 0; word &= word - 1) {
+      fn(base + static_cast<std::size_t>(std::countr_zero(word)));
+    }
+  }
+}
+
+/// Packs `n` flags (seen(i) for row i) into the blob mask format: LSB-first
+/// bits, ceil(n/8) bytes.
+template <class Seen>
+void pack_mask(std::size_t n, const Seen& seen, std::uint8_t* out) {
+  std::fill(out, out + (n + 7) / 8, std::uint8_t{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    if (seen(i)) out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  }
+}
+
+/// One source tensor (embedding rows + biases) as raw little-endian f32
+/// bytes: wire images are read where they landed, at any alignment.
+struct RawTensor {
+  const std::uint8_t* rows = nullptr;
+  const std::uint8_t* bias = nullptr;
+};
+
+/// The merging model's side of one tensor; `slots` maps a row to its
+/// storage slot (null = identity, i.e. dense storage).
+struct TargetTensor {
+  float* rows = nullptr;
+  float* bias = nullptr;
+  std::uint8_t* seen = nullptr;
+  const std::uint32_t* slots = nullptr;
+  std::size_t n = 0;
+};
+
+/// y += w * x over one row, x loaded from raw bytes. (__restrict: a row
+/// of this model never overlaps a source image, which lets the loop
+/// vectorize.)
+void axpy_row(float* __restrict y, const std::uint8_t* __restrict x, float w,
+              std::size_t k) {
+  for (std::size_t l = 0; l < k; ++l) {
+    y[l] += w * load_f32(x + l * sizeof(float));
+  }
+}
+
+/// dst = w_dst * dst + w * x over one row, x loaded from raw bytes.
+void fold_row(float* __restrict dst, float w_dst,
+              const std::uint8_t* __restrict x, float w, std::size_t k) {
+  for (std::size_t l = 0; l < k; ++l) {
+    dst[l] = w_dst * dst[l] + w * load_f32(x + l * sizeof(float));
+  }
+}
+
+/// Pass 2 for one source over one tensor: every row the source saw, in
+/// row order. Each element sees exactly the multiply and add of the
+/// row-major loop's linalg calls — y += w*x for later participants, dst =
+/// w_self*dst + w*x for the first — with the source loaded through memcpy,
+/// so wire images are read in place at any alignment. Elementwise kernels
+/// are bit-identical on every backend and at every length
+/// (simd_kernels.hpp), so inlining them here changes no result.
+void apply_source(const TargetTensor& dst, const RawTensor& src,
+                  const std::uint8_t* src_seen, const double* totals,
+                  const std::uint32_t* first, std::uint32_t source,
+                  double weight, double self_weight, std::size_t k) {
+  // The weight division repeats for every row with the same participant
+  // total; the same double always rounds to the same float.
+  double w_total = 0.0, self_total = 0.0;
+  float w = 0.0f, self_w = 0.0f;
+  bool w_valid = false, self_valid = false;
+  for_each_set_bit(src_seen, dst.n, [&](std::size_t r) {
+    const double total = totals[r];
+    if (total <= 0.0) return;
+    if (!w_valid || total != w_total) {
+      w = static_cast<float>(weight / total);
+      w_total = total;
+      w_valid = true;
+    }
+    const std::size_t slot = dst.slots != nullptr ? dst.slots[r] : r;
+    float* row = dst.rows + slot * k;
+    const std::uint8_t* peer_row = src.rows + r * k * sizeof(float);
+    const float peer_bias = load_f32(src.bias + r * sizeof(float));
+    if (first[r] != source) {  // a later participant
+      axpy_row(row, peer_row, w, k);
+      dst.bias[slot] += w * peer_bias;
+      return;
+    }
+    // The first participant folds the self term in: dst = w_self*dst + w*x
+    // with w_self = 0 when this node never saw the row, and the bias then
+    // starting from +0.0f, exactly as the row-major loop did.
+    const bool self_seen = dst.seen[slot] != 0;
+    float w_self = 0.0f;
+    if (self_seen) {
+      if (!self_valid || total != self_total) {
+        self_w = static_cast<float>(self_weight / total);
+        self_total = total;
+        self_valid = true;
+      }
+      w_self = self_w;
+    }
+    fold_row(row, w_self, peer_row, w, k);
+    const float bias = self_seen ? w_self * dst.bias[slot] : 0.0f;
+    dst.bias[slot] = bias + w * peer_bias;
+    dst.seen[slot] = 1;  // row knowledge propagates with the merge
+  });
+}
+
+}  // namespace
+
+struct MfModel::PeerView {
+  enum class Codec { kExact, kQuantized, kSliced, kModel };
+  Codec codec = Codec::kExact;
+  double weight = 0.0;
+  /// kExact: raw f32 tensors. kQuantized: q8 tensors (min, scale, codes).
+  /// kSliced: the user and item slice sections (rows+biases, then mask)
+  /// in user_rows / item_rows.
+  BytesView user_rows, item_rows, user_bias, item_bias;
+  std::uint32_t slice_count = 1, slice_index = 0;
+  const MfModel* model = nullptr;  // kModel
+  /// Seen masks as packed bits: into the blob, or into mask_storage where
+  /// the source has no full-row mask of that form (kSliced, kModel).
+  const std::uint8_t* user_seen = nullptr;
+  const std::uint8_t* item_seen = nullptr;
+  std::vector<std::uint8_t> mask_storage;
+};
+
+MfModel::PeerView MfModel::parse_blob(BytesView blob, double weight) const {
+  const std::size_t n_users = config_.n_users;
+  const std::size_t n_items = config_.n_items;
+  const std::size_t k = config_.embedding_dim;
+  PeerView peer;
+  peer.weight = weight;
+  serialize::BinaryReader r(blob);
+  const std::string magic = r.str();
+  if (magic == "mfq") {
+    peer.codec = PeerView::Codec::kQuantized;
+  } else if (magic == "mfs") {
+    peer.codec = PeerView::Codec::kSliced;
+  } else {
+    REX_REQUIRE(magic == kind(), "payload is not an MF model");
+  }
+  REX_REQUIRE(r.u32() == n_users && r.u32() == n_items && r.u32() == k,
+              "MF model shape mismatch");
+  switch (peer.codec) {
+    case PeerView::Codec::kExact:
+      peer.user_rows = r.raw(n_users * k * sizeof(float));
+      peer.item_rows = r.raw(n_items * k * sizeof(float));
+      peer.user_bias = r.raw(n_users * sizeof(float));
+      peer.item_bias = r.raw(n_items * sizeof(float));
+      peer.user_seen = r.raw((n_users + 7) / 8).data();
+      peer.item_seen = r.raw((n_items + 7) / 8).data();
+      break;
+    case PeerView::Codec::kQuantized:
+      peer.user_rows = r.raw(8 + n_users * k);
+      peer.item_rows = r.raw(8 + n_items * k);
+      peer.user_bias = r.raw(8 + n_users);
+      peer.item_bias = r.raw(8 + n_items);
+      peer.user_seen = r.raw((n_users + 7) / 8).data();
+      peer.item_seen = r.raw((n_items + 7) / 8).data();
+      break;
+    case PeerView::Codec::kSliced: {
+      peer.slice_count = r.u32();
+      peer.slice_index = r.u32();
+      REX_REQUIRE(peer.slice_count > 1 && peer.slice_index < peer.slice_count,
+                  "invalid MF slice spec");
+      // Only slice rows keep a seen bit: spread the slice mask over full
+      // row masks so non-slice rows never participate.
+      peer.mask_storage.assign((n_users + 7) / 8 + (n_items + 7) / 8, 0);
+      const auto section = [&](std::size_t n, std::uint8_t* full_mask) {
+        const std::size_t rows =
+            slice_rows(n, peer.slice_count, peer.slice_index);
+        const BytesView values = r.raw(rows * (k + 1) * sizeof(float));
+        const BytesView mask = r.raw((rows + 7) / 8);
+        for (std::size_t j = 0; j < rows; ++j) {
+          if (!mask_bit(mask.data(), j)) continue;
+          const std::size_t row = peer.slice_index + j * peer.slice_count;
+          full_mask[row / 8] |= static_cast<std::uint8_t>(1u << (row % 8));
+        }
+        return values;
+      };
+      std::uint8_t* user_mask = peer.mask_storage.data();
+      std::uint8_t* item_mask = user_mask + (n_users + 7) / 8;
+      peer.user_rows = section(n_users, user_mask);
+      peer.item_rows = section(n_items, item_mask);
+      peer.user_seen = user_mask;
+      peer.item_seen = item_mask;
+      break;
+    }
+    case PeerView::Codec::kModel:
+      break;
+  }
+  r.expect_end();
+  return peer;
+}
+
+void MfModel::merge(std::span<const MergeSource> sources, double self_weight) {
+  if (sources.empty()) return;
+  std::vector<PeerView> peers(sources.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const auto* model = dynamic_cast<const MfModel*>(sources[s].model);
+    REX_REQUIRE(model != nullptr, "merge: model kind mismatch");
+    REX_REQUIRE(model != this, "merge: a model cannot be its own source");
+    REX_REQUIRE(model->config_.n_users == config_.n_users &&
+                    model->config_.n_items == config_.n_items &&
+                    model->config_.embedding_dim == config_.embedding_dim,
+                "merge: MF shape mismatch");
+    PeerView& peer = peers[s];
+    peer.codec = PeerView::Codec::kModel;
+    peer.weight = sources[s].weight;
+    peer.model = model;
+    peer.mask_storage.resize((config_.n_users + 7) / 8 +
+                             (config_.n_items + 7) / 8);
+    std::uint8_t* user_mask = peer.mask_storage.data();
+    std::uint8_t* item_mask = user_mask + (config_.n_users + 7) / 8;
+    pack_mask(config_.n_users,
+              [model](std::size_t u) {
+                return model->has_seen_user(static_cast<data::UserId>(u));
+              },
+              user_mask);
+    pack_mask(config_.n_items,
+              [model](std::size_t i) { return model->seen_item_[i] != 0; },
+              item_mask);
+    peer.user_seen = user_mask;
+    peer.item_seen = item_mask;
+  }
+  merge_peers(peers, self_weight);
+}
+
+void MfModel::merge_serialized(std::span<const SerializedSource> sources,
+                               double self_weight) {
+  if (sources.empty()) return;
+  // Validate every source before the first write: a bad blob in source k
+  // must leave the model untouched.
+  std::vector<PeerView> peers;
+  peers.reserve(sources.size());
+  for (const SerializedSource& source : sources) {
+    peers.push_back(parse_blob(source.blob, source.weight));
+  }
+  merge_peers(peers, self_weight);
+}
+
+void MfModel::merge_peers(std::span<const PeerView> peers,
+                          double self_weight) {
+  const std::size_t n_users = config_.n_users;
+  const std::size_t n_items = config_.n_items;
+  const std::size_t k = config_.embedding_dim;
+
+  // Pass 1: participating weight and first participant per row.
+  std::vector<double> user_total(n_users, 0.0);
+  std::vector<double> item_total(n_items, 0.0);
+  if (lazy()) {
+    for (const auto& [user, slot] : user_slots_) {
+      if (lazy_seen_user_[slot] != 0) user_total[user] = self_weight;
+    }
+  } else {
+    for (std::size_t u = 0; u < n_users; ++u) {
+      if (seen_user_[u] != 0) user_total[u] = self_weight;
+    }
+  }
+  for (std::size_t i = 0; i < n_items; ++i) {
+    if (seen_item_[i] != 0) item_total[i] = self_weight;
+  }
+  std::vector<std::uint32_t> user_first(n_users, kNoSource);
+  std::vector<std::uint32_t> item_first(n_items, kNoSource);
+  const auto tally = [&](const std::uint8_t* seen, std::size_t n,
+                         std::uint32_t source, double weight, double* totals,
+                         std::uint32_t* first) {
+    for_each_set_bit(seen, n, [&](std::size_t r) {
+      totals[r] += weight;
+      if (first[r] == kNoSource) first[r] = source;
+    });
+  };
+  for (std::size_t s = 0; s < peers.size(); ++s) {
+    const auto source = static_cast<std::uint32_t>(s);
+    tally(peers[s].user_seen, n_users, source, peers[s].weight,
+          user_total.data(), user_first.data());
+    tally(peers[s].item_seen, n_items, source, peers[s].weight,
+          item_total.data(), item_first.data());
+  }
+
+  // Lazy stores materialize every row a peer merges into, in user order
+  // (the order the row-major loop created slots in); a row nobody
+  // participates in gets no slot.
+  std::vector<std::uint32_t> user_slot;
+  TargetTensor users;
+  users.n = n_users;
+  if (lazy()) {
+    user_slot.assign(n_users, 0);
+    for (std::size_t u = 0; u < n_users; ++u) {
+      if (user_first[u] == kNoSource || user_total[u] <= 0.0) continue;
+      user_slot[u] = static_cast<std::uint32_t>(
+          ensure_user_slot(static_cast<data::UserId>(u)));
+    }
+    users.rows = lazy_user_rows_.data();
+    users.bias = lazy_user_bias_.data();
+    users.seen = lazy_seen_user_.data();
+    users.slots = user_slot.data();
+  } else {
+    users.rows = user_embeddings_.flat().data();
+    users.bias = user_bias_.data();
+    users.seen = seen_user_.data();
+  }
+  TargetTensor items;
+  items.n = n_items;
+  items.rows = item_embeddings_.flat().data();
+  items.bias = item_bias_.data();
+  items.seen = seen_item_.data();
+
+  // Pass 2: sources in order. Quantized/sliced blobs and lazy models decode
+  // into one reused scratch image, laid out like the exact tensors.
+  std::vector<float> image;
+  std::vector<float> dense_user_bias;
+  std::vector<std::uint8_t> dense_user_seen;
+  const auto as_bytes = [](const float* p) {
+    return reinterpret_cast<const std::uint8_t*>(p);
+  };
+  for (std::size_t s = 0; s < peers.size(); ++s) {
+    const PeerView& peer = peers[s];
+    RawTensor user_src, item_src;
+    switch (peer.codec) {
+      case PeerView::Codec::kExact:
+        user_src = {peer.user_rows.data(), peer.user_bias.data()};
+        item_src = {peer.item_rows.data(), peer.item_bias.data()};
+        break;
+      case PeerView::Codec::kQuantized:
+      case PeerView::Codec::kSliced: {
+        image.resize((n_users + n_items) * (k + 1));
+        float* user_rows = image.data();
+        float* item_rows = user_rows + n_users * k;
+        float* user_bias = item_rows + n_items * k;
+        float* item_bias = user_bias + n_users;
+        if (peer.codec == PeerView::Codec::kQuantized) {
+          // The deserialize() decoder itself: bit-identical values.
+          const auto decode = [](BytesView q8, float* out, std::size_t n) {
+            serialize::BinaryReader r(q8);
+            read_q8_tensor(r, std::span<float>(out, n));
+          };
+          decode(peer.user_rows, user_rows, n_users * k);
+          decode(peer.item_rows, item_rows, n_items * k);
+          decode(peer.user_bias, user_bias, n_users);
+          decode(peer.item_bias, item_bias, n_items);
+        } else {
+          // Slice rows only; the rest of the image is never read (unseen).
+          const auto scatter = [&](BytesView values, std::size_t n,
+                                   float* rows, float* bias) {
+            const std::uint8_t* p = values.data();
+            for (std::size_t row = peer.slice_index; row < n;
+                 row += peer.slice_count) {
+              std::memcpy(rows + row * k, p, k * sizeof(float));
+              p += k * sizeof(float);
+              bias[row] = load_f32(p);
+              p += sizeof(float);
+            }
+          };
+          scatter(peer.user_rows, n_users, user_rows, user_bias);
+          scatter(peer.item_rows, n_items, item_rows, item_bias);
+        }
+        user_src = {as_bytes(user_rows), as_bytes(user_bias)};
+        item_src = {as_bytes(item_rows), as_bytes(item_bias)};
+        break;
+      }
+      case PeerView::Codec::kModel: {
+        const MfModel& model = *peer.model;
+        if (model.lazy()) {
+          model.dense_user_image(image, dense_user_bias, dense_user_seen);
+          user_src = {as_bytes(image.data()), as_bytes(dense_user_bias.data())};
+        } else {
+          user_src = {as_bytes(model.user_embeddings_.flat().data()),
+                      as_bytes(model.user_bias_.data())};
+        }
+        item_src = {as_bytes(model.item_embeddings_.flat().data()),
+                    as_bytes(model.item_bias_.data())};
+        break;
+      }
+    }
+    const auto source = static_cast<std::uint32_t>(s);
+    apply_source(users, user_src, peer.user_seen, user_total.data(),
+                 user_first.data(), source, peer.weight, self_weight, k);
+    apply_source(items, item_src, peer.item_seen, item_total.data(),
+                 item_first.data(), source, peer.weight, self_weight, k);
+  }
+}
+
+void MfModel::charge_merge_buffer(BytesView blob,
+                                  MergeBufferLedger& buffer) const {
+  if (!lazy()) {
+    RecModel::charge_merge_buffer(blob, buffer);
+    return;
+  }
+  const std::size_t n_users = config_.n_users;
+  if (buffer.bytes == 0) {  // a fresh clone holds this model's rows
+    buffer.partial_rows.assign(n_users, 0);
+    for (const auto& entry : user_slots_) buffer.partial_rows[entry.first] = 1;
+  }
+  serialize::BinaryReader r(blob);
+  if (r.str() == "mfs") {
+    // deserialize() materializes the slice rows only.
+    (void)r.u32();
+    (void)r.u32();
+    (void)r.u32();
+    const std::uint32_t count = r.u32();
+    const std::uint32_t index = r.u32();
+    if (!buffer.partial_rows.empty() && count > 1) {
+      for (std::size_t row = index; row < n_users; row += count) {
+        buffer.partial_rows[row] = 1;
+      }
+    }
+  } else {
+    buffer.partial_rows.clear();  // a full image materializes every row
+  }
+  const auto rows = static_cast<std::size_t>(std::count(
+      buffer.partial_rows.begin(), buffer.partial_rows.end(), 1));
+  if (rows == n_users) buffer.partial_rows.clear();
+  buffer.bytes = footprint_with_user_slots(
+      buffer.partial_rows.empty() ? n_users : rows);
+}
+
 std::size_t MfModel::parameter_count() const {
   // Logical (dense) parameter count, independent of the lazy layout: the
   // wire codecs always carry the full tensors, and merge counters must stay
@@ -612,17 +984,21 @@ std::size_t MfModel::wire_size() const {
 }
 
 std::size_t MfModel::memory_footprint() const {
+  return footprint_with_user_slots(user_slots_.size());
+}
+
+std::size_t MfModel::footprint_with_user_slots(std::size_t user_slots) const {
   // Actual allocation, not the logical dense size: with lazy user rows this
   // is what the per-node memory ledger (and the mega-scale bytes/node gate)
-  // must see.
+  // must see. Every lazy slot holds k floats, a bias, a seen byte and its
+  // user_slots_ entry.
   std::size_t bytes =
       (item_embeddings_.size() + item_bias_.size()) * sizeof(float) +
       seen_item_.size();
   if (lazy()) {
-    bytes += (lazy_user_rows_.size() + lazy_user_bias_.size()) *
-                 sizeof(float) +
-             lazy_seen_user_.size() +
-             user_slots_.size() * sizeof(user_slots_[0]);
+    bytes += user_slots *
+             ((config_.embedding_dim + 1) * sizeof(float) + 1 +
+              sizeof(user_slots_[0]));
   } else {
     bytes += (user_embeddings_.size() + user_bias_.size()) * sizeof(float) +
              seen_user_.size();

@@ -62,6 +62,17 @@ class MfModel final : public RecModel {
   void score_items(data::UserId user, std::span<float> out) const override;
   void merge(std::span<const MergeSource> sources,
              double self_weight) override;
+  /// Reads each blob where it lies ("mf" in place; "mfq"/"mfs" decoded one
+  /// source at a time into reused scratch) and merges peer-major — the same
+  /// IEEE operations per element, in the same order, as merge() over
+  /// deserialized clones (DESIGN.md §7 "Merge from the wire").
+  void merge_serialized(std::span<const SerializedSource> sources,
+                        double self_weight) override;
+  /// Lazy user rows make a clone's size depend on which rows it holds: the
+  /// rows of this model at the buffer's first charge, plus every row a blob
+  /// materialized since (all of them for full images, the slice for "mfs").
+  void charge_merge_buffer(BytesView blob,
+                           MergeBufferLedger& buffer) const override;
   [[nodiscard]] Bytes serialize() const override;
   /// q8 affine per-tensor quantization ("mfq" blob, ~4x smaller than the
   /// exact encoding): each float tensor travels as (min, scale, u8 codes).
@@ -109,6 +120,17 @@ class MfModel final : public RecModel {
 
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// One validated merge source: a model or a parsed wire blob (mf.cpp).
+  struct PeerView;
+  /// Validates `blob` as a merge source (every check deserialize() makes,
+  /// exact length included) without touching this model.
+  [[nodiscard]] PeerView parse_blob(BytesView blob, double weight) const;
+  /// The peer-major merge kernel behind merge() and merge_serialized().
+  void merge_peers(std::span<const PeerView> peers, double self_weight);
+  /// memory_footprint() with `user_slots` materialized lazy user rows.
+  [[nodiscard]] std::size_t footprint_with_user_slots(
+      std::size_t user_slots) const;
 
   void deserialize_quantized(serialize::BinaryReader& r);
   void deserialize_sliced(serialize::BinaryReader& r);

@@ -18,6 +18,11 @@ double RecModel::rmse(std::span<const data::Rating> ratings) const {
   return std::sqrt(acc / static_cast<double>(ratings.size()));
 }
 
+void RecModel::charge_merge_buffer(BytesView /*blob*/,
+                                   MergeBufferLedger& buffer) const {
+  if (buffer.bytes == 0) buffer.bytes = memory_footprint();
+}
+
 void RecModel::score_items(data::UserId user, std::span<float> out) const {
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = predict(user, static_cast<data::ItemId>(i));

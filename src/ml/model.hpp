@@ -27,6 +27,24 @@ struct MergeSource {
   double weight = 0.0;
 };
 
+/// One neighbor's model as it arrived on the wire (a serialize(),
+/// serialize_quantized() or serialize_sliced() blob), with its mixing weight.
+struct SerializedSource {
+  BytesView blob;
+  double weight = 0.0;
+};
+
+/// Enclave-memory ledger entry for one merge buffer (DESIGN.md §7 "Merge
+/// from the wire"): the bytes a clone of the model would occupy after
+/// deserializing every blob charged to it. `bytes == 0` means the buffer
+/// does not exist yet (the next charge clones the model as it is then).
+struct MergeBufferLedger {
+  std::size_t bytes = 0;
+  /// Per-user "row materialized" flags of a lazy-user-rows MF buffer while
+  /// only some rows are (sliced blobs); empty once every row is.
+  std::vector<std::uint8_t> partial_rows;
+};
+
 class RecModel {
  public:
   virtual ~RecModel() = default;
@@ -52,6 +70,21 @@ class RecModel {
   /// only the holders participate for that row (paper §III-C2).
   virtual void merge(std::span<const MergeSource> sources,
                      double self_weight) = 0;
+
+  /// Merges neighbor models straight from their wire encodings. The result
+  /// is bit-identical to deserializing each blob into a clone of this model
+  /// and calling merge(). Every blob is validated before any parameter is
+  /// written: a malformed one throws rex::Error and leaves the model as it
+  /// was.
+  virtual void merge_serialized(std::span<const SerializedSource> sources,
+                                double self_weight) = 0;
+
+  /// Charges `blob` to one modeled merge buffer: sets `buffer.bytes` to the
+  /// memory_footprint() a clone of this model (taken at the buffer's first
+  /// charge) would report after deserialize(blob). The default fits models
+  /// whose clones never change size.
+  virtual void charge_merge_buffer(BytesView blob,
+                                   MergeBufferLedger& buffer) const;
 
   /// Wire encoding of all parameters (the "share model" payload).
   [[nodiscard]] virtual Bytes serialize() const = 0;

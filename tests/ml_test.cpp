@@ -1,11 +1,14 @@
 // ML tests: MF and DNN learn planted structure, serialization round-trips,
-// merge semantics (masked rows, Metropolis–Hastings weights), Adam
-// convergence, and the fixed-batches epoch rule.
+// merge semantics (masked rows, Metropolis–Hastings weights), merges from
+// wire blobs bit-identical to the row-major reference, Adam convergence, and
+// the fixed-batches epoch rule.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "data/movielens.hpp"
+#include "linalg/simd_kernels.hpp"
+#include "mf_merge_reference.hpp"
 #include "ml/adam.hpp"
 #include "ml/dnn.hpp"
 #include "ml/mf.hpp"
@@ -350,6 +353,247 @@ TEST(Mf, RmseClampsPredictions) {
   EXPECT_NEAR(model.rmse(test), 0.0, 1e-6);
   // And rmse of an empty set is defined as 0.
   EXPECT_EQ(model.rmse({}), 0.0);
+}
+
+// ===== Merge from the wire (DESIGN.md §7) =====
+
+enum class WireCodec { kExact, kQuantized, kSliced, kMixed };
+
+const char* codec_name(WireCodec codec) {
+  switch (codec) {
+    case WireCodec::kExact: return "mf";
+    case WireCodec::kQuantized: return "mfq";
+    case WireCodec::kSliced: return "mfs";
+    case WireCodec::kMixed: return "mixed";
+  }
+  return "?";
+}
+
+MfConfig merge_config(const data::Dataset& d, std::size_t k, bool lazy) {
+  MfConfig config = mf_config(d);
+  config.embedding_dim = k;
+  config.lazy_user_rows = lazy;
+  config.lazy_init_seed = 0x5EED;
+  return config;
+}
+
+/// A model trained only on the ratings of users `keep` selects. Users 35+
+/// are never selected, so their rows (and items only they rated) stay
+/// unseen by every model.
+template <class Keep>
+MfModel model_trained_on(const MfConfig& config, const data::Dataset& d,
+                         std::uint64_t seed, Keep keep) {
+  Rng init_rng(seed);
+  MfModel model(config, init_rng);
+  std::vector<data::Rating> store;
+  for (const data::Rating& r : d.ratings) {
+    if (r.user < 35 && keep(r.user)) store.push_back(r);
+  }
+  Rng train_rng(seed ^ 0x7A);
+  model.train_epoch(store, train_rng);
+  return model;
+}
+
+Bytes encode_as(const MfModel& model, WireCodec codec, std::size_t peer) {
+  const auto slice = static_cast<std::uint32_t>(peer % 3);
+  switch (codec) {
+    case WireCodec::kExact: return model.serialize();
+    case WireCodec::kQuantized: return model.serialize_quantized();
+    case WireCodec::kSliced: return model.serialize_sliced(3, slice);
+    case WireCodec::kMixed:
+      return encode_as(model, static_cast<WireCodec>(peer % 3), peer);
+  }
+  return {};
+}
+
+/// One merge scenario: a self model that saw users u % 5 == 0, `n_peers`
+/// peers each trained on a different user residue, Metropolis–Hastings-like
+/// weights (half of them equal, so participant totals repeat).
+struct MergeFixture {
+  data::Dataset d = small_dataset();
+  MfConfig config;
+  MfModel self;
+  std::vector<MfModel> peers;
+  std::vector<Bytes> blobs;
+  std::vector<double> weights;
+  double self_weight = 1.0;
+
+  MergeFixture(std::size_t k, bool lazy, std::size_t n_peers,
+               WireCodec codec)
+      : config(merge_config(d, k, lazy)),
+        self(model_trained_on(config, d, 500,
+                              [](data::UserId u) { return u % 5 == 0; })) {
+    for (std::size_t p = 0; p < n_peers; ++p) {
+      peers.push_back(model_trained_on(
+          config, d, 600 + p, [p](data::UserId u) { return u % 7 == p % 7; }));
+      blobs.push_back(encode_as(peers.back(), codec, p));
+      const double w = p % 2 == 0 ? 0.5 / static_cast<double>(n_peers + 1)
+                                  : 0.3 / static_cast<double>(n_peers + 2) +
+                                        0.001 * static_cast<double>(p);
+      weights.push_back(w);
+      self_weight -= w;
+    }
+  }
+
+  [[nodiscard]] std::vector<SerializedSource> sources() const {
+    std::vector<SerializedSource> out;
+    for (std::size_t p = 0; p < blobs.size(); ++p) {
+      out.push_back(SerializedSource{blobs[p], weights[p]});
+    }
+    return out;
+  }
+};
+
+void expect_merge_matches_reference(std::size_t k, bool lazy,
+                                    std::size_t n_peers, WireCodec codec) {
+  SCOPED_TRACE(::testing::Message()
+               << "k=" << k << " lazy=" << lazy << " peers=" << n_peers
+               << " codec=" << codec_name(codec) << " backend="
+               << linalg::simd::backend_name(
+                      linalg::simd::active_backend()));
+  const MergeFixture f(k, lazy, n_peers, codec);
+
+  // Rows nobody saw and rows only peers saw must both be in play.
+  bool nobody = false, peer_only = false;
+  for (data::UserId u = 0; u < f.d.n_users; ++u) {
+    bool any_peer = false;
+    for (const MfModel& peer : f.peers) any_peer |= peer.has_seen_user(u);
+    nobody |= !any_peer && !f.self.has_seen_user(u);
+    peer_only |= any_peer && !f.self.has_seen_user(u);
+  }
+  ASSERT_TRUE(nobody);
+  ASSERT_TRUE(peer_only);
+
+  reference::DenseMf expected = reference::parse_dense(f.self.serialize());
+  std::vector<reference::DenseMf> images;
+  for (const Bytes& blob : f.blobs) {
+    images.push_back(reference::decoded(f.self, blob));
+  }
+  reference::merge(expected, images, f.weights, f.self_weight);
+  const Bytes expected_blob = reference::to_blob(expected);
+
+  MfModel wire = f.self;
+  wire.merge_serialized(f.sources(), f.self_weight);
+  EXPECT_EQ(wire.serialize(), expected_blob);
+
+  // deserialize() into clones + merge(): the path the wire merge replaced.
+  MfModel via_models = f.self;
+  std::vector<std::unique_ptr<RecModel>> aliens;
+  std::vector<MergeSource> sources;
+  for (std::size_t p = 0; p < f.blobs.size(); ++p) {
+    aliens.push_back(f.self.clone());
+    aliens.back()->deserialize(f.blobs[p]);
+    sources.push_back(MergeSource{aliens.back().get(), f.weights[p]});
+  }
+  via_models.merge(sources, f.self_weight);
+  EXPECT_EQ(via_models.serialize(), expected_blob);
+  EXPECT_EQ(wire.materialized_user_rows(), via_models.materialized_user_rows());
+  EXPECT_EQ(wire.memory_footprint(), via_models.memory_footprint());
+
+  if (codec == WireCodec::kExact) {
+    MfModel direct = f.self;
+    std::vector<MergeSource> peer_sources;
+    for (std::size_t p = 0; p < f.peers.size(); ++p) {
+      peer_sources.push_back(MergeSource{&f.peers[p], f.weights[p]});
+    }
+    direct.merge(peer_sources, f.self_weight);
+    EXPECT_EQ(direct.serialize(), expected_blob);
+  }
+}
+
+TEST(MfMergeSerialized, BitIdenticalToRowMajorReference) {
+  const linalg::simd::Backend dispatched = linalg::simd::active_backend();
+  for (const linalg::simd::Backend backend :
+       {dispatched, linalg::simd::Backend::kScalar}) {
+    linalg::simd::set_backend(backend);
+    for (const bool lazy : {false, true}) {
+      // k = 20 crosses linalg::kSimdThreshold: the SIMD row kernels run.
+      for (const std::size_t k : {10ul, 20ul}) {
+        for (const std::size_t n_peers : {1ul, 30ul}) {
+          for (const WireCodec codec :
+               {WireCodec::kExact, WireCodec::kQuantized, WireCodec::kSliced,
+                WireCodec::kMixed}) {
+            expect_merge_matches_reference(k, lazy, n_peers, codec);
+          }
+        }
+      }
+    }
+  }
+  linalg::simd::set_backend(dispatched);
+}
+
+TEST(MfMergeSerialized, BadSourceThrowsAndLeavesModelUntouched) {
+  for (const bool lazy : {false, true}) {
+    const MergeFixture f(10, lazy, 3, WireCodec::kExact);
+    MfConfig other = f.config;
+    other.n_items += 1;
+    Rng other_rng(5);
+    const MfModel other_shape(other, other_rng);
+
+    std::vector<Bytes> bad;
+    Bytes truncated = f.blobs[2];
+    truncated.pop_back();
+    bad.push_back(truncated);
+    Bytes trailing = f.blobs[2];
+    trailing.push_back(0);
+    bad.push_back(trailing);
+    bad.push_back(other_shape.serialize());
+    Bytes q = f.peers[2].serialize_quantized();
+    q.pop_back();
+    bad.push_back(q);
+    Bytes s = f.peers[2].serialize_sliced(3, 1);
+    s.push_back(7);
+    bad.push_back(s);
+    bad.push_back(f.peers[2].serialize_sliced(3, 1));
+    bad.back()[4 + 12] = 1;  // slice count 1: invalid for "mfs"
+    bad.push_back(Bytes{2, 'x', 'y'});
+
+    for (std::size_t b = 0; b < bad.size(); ++b) {
+      MfModel model = f.self;
+      const Bytes before = model.serialize();
+      const std::size_t footprint = model.memory_footprint();
+      const std::size_t rows = model.materialized_user_rows();
+      std::vector<SerializedSource> sources = f.sources();
+      sources[2].blob = bad[b];
+      EXPECT_THROW(model.merge_serialized(sources, f.self_weight), Error)
+          << "lazy=" << lazy << " case " << b;
+      EXPECT_EQ(model.serialize(), before) << "lazy=" << lazy << " case " << b;
+      EXPECT_EQ(model.memory_footprint(), footprint) << b;
+      EXPECT_EQ(model.materialized_user_rows(), rows) << b;
+    }
+  }
+}
+
+TEST(MfMergeSerialized, MergeBufferLedgerMatchesADeserializedClone) {
+  // The enclave ledger charges what the old per-neighbor alien clone held:
+  // taken from the model at the buffer's first charge, then grown by every
+  // deserialize — including lazy slice rows and model rows materialized
+  // after the clone was taken.
+  for (const bool lazy : {false, true}) {
+    const MergeFixture f(10, lazy, 3, WireCodec::kExact);
+    MfModel model = f.self;
+    MergeBufferLedger ledger;
+    std::unique_ptr<RecModel> alien;
+    const std::vector<Bytes> blobs = {
+        f.peers[0].serialize_sliced(3, 1), f.peers[1].serialize_sliced(3, 2),
+        f.peers[2].serialize(), f.peers[0].serialize_sliced(3, 0),
+        f.peers[1].serialize_quantized()};
+    for (std::size_t b = 0; b < blobs.size(); ++b) {
+      if (!alien) alien = model.clone();
+      model.charge_merge_buffer(blobs[b], ledger);
+      alien->deserialize(blobs[b]);
+      EXPECT_EQ(ledger.bytes, alien->memory_footprint())
+          << "lazy=" << lazy << " blob " << b;
+      // The model moves on between charges; the buffer must not follow it.
+      const SerializedSource source{blobs[b], 0.5};
+      model.merge_serialized(std::span<const SerializedSource>(&source, 1),
+                             0.5);
+      if (b == 2) {  // a fresh buffer is a clone of the model as it is now
+        ledger = MergeBufferLedger{};
+        alien.reset();
+      }
+    }
+  }
 }
 
 DnnConfig dnn_config(const data::Dataset& d) {

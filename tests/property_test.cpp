@@ -1,7 +1,8 @@
 // Property-based tests: parameterized sweeps (TEST_P) asserting invariants
 // over many randomized inputs — wire-format round-trips, AEAD tamper
 // resistance, ECDH key agreement, topology guarantees, partition
-// conservation, rating quantization, and model-merge algebra.
+// conservation, rating quantization, model-merge algebra, and merges from
+// wire blobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "data/movielens.hpp"
 #include "data/partition.hpp"
 #include "graph/topology.hpp"
+#include "mf_merge_reference.hpp"
 #include "ml/mf.hpp"
 #include "ml/topk.hpp"
 #include "serialize/binary.hpp"
@@ -434,6 +436,91 @@ TEST_P(MergeAlgebra, PairwiseAverageLandsBetweenTheInputs) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeAlgebra,
                          ::testing::Range<std::uint64_t>(1, 7));
 
+// Merging straight from wire blobs (DESIGN.md §7 "Merge from the wire") is
+// bit-identical to the row-major reference and to deserialize + merge(),
+// over random shapes (k on both sides of the SIMD threshold), lazy or
+// eager rows, random seen patterns, 1–8 sources in random codecs, and
+// weights that repeat or not.
+class MergeFromWire : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MergeFromWire, BitIdenticalToReferenceAndDeserializeMerge) {
+  Rng rng(GetParam() ^ 0x3E26E);
+  ml::MfConfig config;
+  config.n_users = 1 + rng.uniform(30);
+  config.n_items = 1 + rng.uniform(40);
+  config.embedding_dim = 1 + rng.uniform(24);
+  config.sgd_steps_per_epoch = 1 + rng.uniform(40);
+  config.lazy_user_rows = rng.bernoulli(0.5);
+  config.lazy_init_seed = GetParam();
+  const auto trained = [&](std::uint64_t seed) {
+    Rng init_rng(seed);
+    ml::MfModel model(config, init_rng);
+    std::vector<data::Rating> store;
+    // Each model sees a random sub-block, so some rows stay unseen by
+    // everyone and some only by peers.
+    const std::size_t users = 1 + rng.uniform(config.n_users);
+    const std::size_t items = 1 + rng.uniform(config.n_items);
+    for (std::size_t n = rng.uniform(12); n > 0; --n) {
+      store.push_back(data::Rating{
+          static_cast<data::UserId>(rng.uniform(users)),
+          static_cast<data::ItemId>(rng.uniform(items)),
+          data::quantize_rating(
+              static_cast<float>(rng.uniform_real(0.5, 5.0)))});
+    }
+    Rng train_rng(seed ^ 0x11);
+    model.train_epoch(store, train_rng);
+    return model;
+  };
+  const ml::MfModel self = trained(GetParam() * 31 + 1);
+
+  const std::size_t n_sources = 1 + rng.uniform(8);
+  std::vector<Bytes> blobs;
+  std::vector<double> weights;
+  double self_weight = 1.0;
+  const double shared_weight = rng.uniform_real(0.01, 0.2);
+  for (std::size_t s = 0; s < n_sources; ++s) {
+    const ml::MfModel peer = trained(GetParam() * 31 + 2 + s);
+    switch (rng.uniform(3)) {
+      case 0: blobs.push_back(peer.serialize()); break;
+      case 1: blobs.push_back(peer.serialize_quantized()); break;
+      default: {
+        const auto count = static_cast<std::uint32_t>(2 + rng.uniform(3));
+        blobs.push_back(peer.serialize_sliced(
+            count, static_cast<std::uint32_t>(rng.uniform(count))));
+      }
+    }
+    weights.push_back(rng.bernoulli(0.5) ? shared_weight
+                                         : rng.uniform_real(0.01, 0.2));
+    self_weight -= weights.back();
+  }
+
+  ml::reference::DenseMf expected = ml::reference::parse_dense(self.serialize());
+  std::vector<ml::reference::DenseMf> images;
+  std::vector<ml::SerializedSource> sources;
+  std::vector<std::unique_ptr<ml::RecModel>> aliens;
+  std::vector<ml::MergeSource> model_sources;
+  for (std::size_t s = 0; s < n_sources; ++s) {
+    images.push_back(ml::reference::decoded(self, blobs[s]));
+    sources.push_back(ml::SerializedSource{blobs[s], weights[s]});
+    aliens.push_back(self.clone());
+    aliens.back()->deserialize(blobs[s]);
+    model_sources.push_back(ml::MergeSource{aliens.back().get(), weights[s]});
+  }
+  ml::reference::merge(expected, images, weights, self_weight);
+  const Bytes expected_blob = ml::reference::to_blob(expected);
+
+  ml::MfModel wire = self;
+  wire.merge_serialized(sources, self_weight);
+  EXPECT_EQ(wire.serialize(), expected_blob);
+  ml::MfModel via_models = self;
+  via_models.merge(model_sources, self_weight);
+  EXPECT_EQ(via_models.serialize(), expected_blob);
+  EXPECT_EQ(wire.memory_footprint(), via_models.memory_footprint());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MergeFromWire,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
 
 // ===== Compressed rating codec =====
 
@@ -712,6 +799,8 @@ class FakeScoreModel final : public ml::RecModel {
     return scores_[item];
   }
   void merge(std::span<const ml::MergeSource>, double) override {}
+  void merge_serialized(std::span<const ml::SerializedSource>,
+                        double) override {}
   [[nodiscard]] Bytes serialize() const override { return {}; }
   void deserialize(BytesView) override {}
   [[nodiscard]] std::size_t train_samples_per_epoch() const override {

@@ -130,6 +130,23 @@ TEST(ScaleDeterminism, QuantizedModelEventDrivenIdenticalAcross1_2_8Threads) {
   run_discipline(s, kCompressedNodes);
 }
 
+// Exact-codec model sharing merges straight from the received wire images
+// (DESIGN.md §7 "Merge from the wire"): every receiver of a share holds a
+// reference to the sender's pooled buffer until its merge consumes it, and
+// whichever receiver drops the last one — on any worker thread — returns
+// the buffer to the pool. None of that may reach the metrics.
+TEST(ScaleDeterminism, ExactModelBarrierIdenticalAcross1_2_8Threads) {
+  Scenario s = scale_scenario(EngineMode::kBarrier, kCompressedNodes);
+  s.rex.sharing = core::SharingMode::kModel;
+  run_discipline(s, kCompressedNodes);
+}
+
+TEST(ScaleDeterminism, ExactModelEventDrivenIdenticalAcross1_2_8Threads) {
+  Scenario s = scale_scenario(EngineMode::kEventDriven, kCompressedNodes);
+  s.rex.sharing = core::SharingMode::kModel;
+  run_discipline(s, kCompressedNodes);
+}
+
 // Serving at scale (DESIGN.md §9): the open-loop query load adds per-node
 // RNG streams, slot-pooled query events and streaming percentile sinks on
 // top of training; none of it may leak thread-count dependence into either
