@@ -519,16 +519,15 @@ void MfModel::deserialize_sliced(serialize::BinaryReader& r) {
 // ===== Merge (DESIGN.md §7 "Merge from the wire") =====
 //
 // Every merge — of models or of wire blobs — runs one peer-major kernel.
-// Pass 1 walks each source's seen mask once and records, per row, the
-// participating weight (self first, then sources in order: the summation
-// order of the old row-major loop) and the first participating source.
-// Pass 2 applies the sources in order, each over its contiguous tensors:
-// a row's first participant folds the self term in (dst = w_self*dst +
-// w_peer*peer, the old fused weighted_sum) and later participants add
-// w_peer*peer on top (the old axpy). Per element that is the same IEEE
-// multiplies and adds in the same order as the row-major loop, so results
-// are bit-identical while each neighbor's model streams through cache
-// once.
+// Its results must equal the row-major definition (for each row: sum the
+// participating weights, self first; fold the self term in with the first
+// participant, linalg::weighted_sum_inplace; axpy the later ones) bit for
+// bit — tests/mf_merge_reference.hpp is that definition. Pass 1 walks
+// each source's seen mask once and records, per row, the participating
+// weight in that summation order and the first participating source.
+// Pass 2 applies the sources in order, each over its contiguous tensors,
+// so every element sees the same IEEE multiplies and adds in the same
+// order while each neighbor's model streams through cache once.
 
 namespace {
 
