@@ -45,6 +45,27 @@ Bytes ProtocolPayload::encode(Bytes scratch) const {
   return w.take();
 }
 
+Bytes ProtocolPayload::encode_model(
+    Bytes scratch, std::size_t blob_size,
+    const std::function<void(serialize::BinaryWriter&)>& write_blob) const {
+  REX_REQUIRE(kind == PayloadKind::kModel ||
+                  kind == PayloadKind::kModelQuantized,
+              "encode_model: not a model payload");
+  serialize::BinaryWriter w(std::move(scratch));
+  // Header (kind, epoch and blob-length varints, degree) plus the blob: one
+  // allocation at most, none once a recycled buffer is large enough.
+  w.reserve(1 + 10 + sizeof(std::uint32_t) + 10 + blob_size);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.varint(epoch);
+  w.u32(sender_degree);
+  w.varint(blob_size);
+  const std::size_t blob_start = w.size();
+  write_blob(w);
+  REX_REQUIRE(w.size() - blob_start == blob_size,
+              "encode_model: blob size mismatch");
+  return w.take();
+}
+
 ProtocolPayload ProtocolPayload::decode(BytesView bytes) {
   ProtocolPayload payload;
   decode_into(bytes, payload);

@@ -4,10 +4,15 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "data/dataset.hpp"
 #include "support/bytes.hpp"
+
+namespace rex::serialize {
+class BinaryWriter;
+}
 
 namespace rex::core {
 
@@ -61,6 +66,13 @@ struct ProtocolPayload {
   /// `scratch` (optional) donates its heap capacity to the encoding — pass
   /// a recycled BufferPool buffer to keep the share path allocation-free.
   [[nodiscard]] Bytes encode(Bytes scratch = Bytes{}) const;
+  /// encode() of a kModel/kModelQuantized payload whose blob is not staged
+  /// in model_blob: `write_blob` appends exactly `blob_size` bytes in place.
+  /// The bytes equal encode()'s with that blob in model_blob; the share
+  /// path serializes its model straight into the outbound buffer this way.
+  [[nodiscard]] Bytes encode_model(
+      Bytes scratch, std::size_t blob_size,
+      const std::function<void(serialize::BinaryWriter&)>& write_blob) const;
   [[nodiscard]] static ProtocolPayload decode(BytesView bytes);
   /// Decodes into `out`, recycling its ratings/model_blob heap capacity —
   /// the receive path's counterpart of encode(scratch).

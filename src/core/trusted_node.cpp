@@ -4,6 +4,7 @@
 
 #include "crypto/aead.hpp"
 #include "graph/graph.hpp"
+#include "serialize/binary.hpp"
 #include "support/error.hpp"
 
 namespace rex::core {
@@ -771,9 +772,16 @@ void TrustedNode::share_step() {
   if (neighbors_.empty()) return;
   const ProtocolPayload payload = build_share_payload();
   // Encode once, into recycled pool storage when available; only the
-  // per-peer encryption differs between destinations.
+  // per-peer encryption differs between destinations. An exact model share
+  // serializes straight into that storage (no staged blob).
+  Bytes scratch = payload_pool_ ? payload_pool_->acquire() : Bytes{};
   Bytes plaintext =
-      payload.encode(payload_pool_ ? payload_pool_->acquire() : Bytes{});
+      payload.kind == PayloadKind::kModel
+          ? payload.encode_model(std::move(scratch), model_->wire_size(),
+                                 [this](serialize::BinaryWriter& w) {
+                                   model_->serialize_into(w);
+                                 })
+          : payload.encode(std::move(scratch));
 
   // Wire-compression savings, per message: what the uncompressed encoding
   // of this share would have cost minus what it actually costs. The header
@@ -835,8 +843,9 @@ ProtocolPayload TrustedNode::build_share_payload() {
     payload.kind = PayloadKind::kModelQuantized;
     payload.model_blob = model_->serialize_quantized();
   } else {
+    // The exact codec's blob is written by share_step, straight into the
+    // outbound buffer (ProtocolPayload::encode_model).
     payload.kind = PayloadKind::kModel;
-    payload.model_blob = model_->serialize();
   }
   return payload;
 }

@@ -255,6 +255,8 @@ class TrustedNode {
   /// runs must seal per destination (each session has its own key/nonce
   /// stream), so only the ciphertexts are per-edge.
   void share_with(std::span<const NodeId> dsts, Bytes plaintext);
+  /// This epoch's share, except an exact model share's blob: share_step
+  /// serializes that straight into the outbound buffer.
   [[nodiscard]] ProtocolPayload build_share_payload();
   /// Charges `blob` to modeled merge buffer `index` (see merge_buffers_).
   void charge_merge_buffer(std::size_t index, BytesView blob);

@@ -202,6 +202,12 @@ void MfModel::dense_user_image(std::vector<float>& rows,
 
 Bytes MfModel::serialize() const {
   serialize::BinaryWriter w;
+  w.reserve(wire_size());
+  serialize_into(w);
+  return w.take();
+}
+
+void MfModel::serialize_into(serialize::BinaryWriter& w) const {
   w.str(kind());
   w.u32(static_cast<std::uint32_t>(config_.n_users));
   w.u32(static_cast<std::uint32_t>(config_.n_items));
@@ -230,7 +236,6 @@ Bytes MfModel::serialize() const {
   };
   write_mask(useen);
   write_mask(seen_item_);
-  return w.take();
 }
 
 void MfModel::deserialize(BytesView payload) {
@@ -533,6 +538,21 @@ namespace {
 
 constexpr std::uint32_t kNoSource = static_cast<std::uint32_t>(-1);
 
+/// Working memory of one merge, reused by every merge on its thread
+/// (merges do not nest). A warm thread merges without allocating, so a
+/// merge's cost does not depend on the allocator's state.
+struct MergeScratch {
+  std::vector<double> user_total, item_total;
+  std::vector<std::uint32_t> user_first, item_first, user_slot;
+  std::vector<float> image, dense_user_bias;
+  std::vector<std::uint8_t> dense_user_seen;
+};
+
+MergeScratch& merge_scratch() {
+  static thread_local MergeScratch scratch;
+  return scratch;
+}
+
 float load_f32(const std::uint8_t* p) {
   float v;
   std::memcpy(&v, p, sizeof v);
@@ -798,9 +818,13 @@ void MfModel::merge_peers(std::span<const PeerView> peers,
   const std::size_t n_items = config_.n_items;
   const std::size_t k = config_.embedding_dim;
 
+  MergeScratch& scratch = merge_scratch();
+
   // Pass 1: participating weight and first participant per row.
-  std::vector<double> user_total(n_users, 0.0);
-  std::vector<double> item_total(n_items, 0.0);
+  std::vector<double>& user_total = scratch.user_total;
+  std::vector<double>& item_total = scratch.item_total;
+  user_total.assign(n_users, 0.0);
+  item_total.assign(n_items, 0.0);
   if (lazy()) {
     for (const auto& [user, slot] : user_slots_) {
       if (lazy_seen_user_[slot] != 0) user_total[user] = self_weight;
@@ -813,8 +837,10 @@ void MfModel::merge_peers(std::span<const PeerView> peers,
   for (std::size_t i = 0; i < n_items; ++i) {
     if (seen_item_[i] != 0) item_total[i] = self_weight;
   }
-  std::vector<std::uint32_t> user_first(n_users, kNoSource);
-  std::vector<std::uint32_t> item_first(n_items, kNoSource);
+  std::vector<std::uint32_t>& user_first = scratch.user_first;
+  std::vector<std::uint32_t>& item_first = scratch.item_first;
+  user_first.assign(n_users, kNoSource);
+  item_first.assign(n_items, kNoSource);
   const auto tally = [&](const std::uint8_t* seen, std::size_t n,
                          std::uint32_t source, double weight, double* totals,
                          std::uint32_t* first) {
@@ -834,7 +860,7 @@ void MfModel::merge_peers(std::span<const PeerView> peers,
   // Lazy stores materialize every row a peer merges into, in user order
   // (the order the row-major loop created slots in); a row nobody
   // participates in gets no slot.
-  std::vector<std::uint32_t> user_slot;
+  std::vector<std::uint32_t>& user_slot = scratch.user_slot;
   TargetTensor users;
   users.n = n_users;
   if (lazy()) {
@@ -861,9 +887,9 @@ void MfModel::merge_peers(std::span<const PeerView> peers,
 
   // Pass 2: sources in order. Quantized/sliced blobs and lazy models decode
   // into one reused scratch image, laid out like the exact tensors.
-  std::vector<float> image;
-  std::vector<float> dense_user_bias;
-  std::vector<std::uint8_t> dense_user_seen;
+  std::vector<float>& image = scratch.image;
+  std::vector<float>& dense_user_bias = scratch.dense_user_bias;
+  std::vector<std::uint8_t>& dense_user_seen = scratch.dense_user_seen;
   const auto as_bytes = [](const float* p) {
     return reinterpret_cast<const std::uint8_t*>(p);
   };

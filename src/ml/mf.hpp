@@ -12,6 +12,7 @@
 
 namespace rex::serialize {
 class BinaryReader;
+class BinaryWriter;
 }
 
 namespace rex::ml {
@@ -74,6 +75,7 @@ class MfModel final : public RecModel {
   void charge_merge_buffer(BytesView blob,
                            MergeBufferLedger& buffer) const override;
   [[nodiscard]] Bytes serialize() const override;
+  void serialize_into(serialize::BinaryWriter& w) const override;
   /// q8 affine per-tensor quantization ("mfq" blob, ~4x smaller than the
   /// exact encoding): each float tensor travels as (min, scale, u8 codes).
   [[nodiscard]] Bytes serialize_quantized() const override;

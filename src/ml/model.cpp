@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "serialize/binary.hpp"
+
 namespace rex::ml {
 
 double RecModel::rmse(std::span<const data::Rating> ratings) const {
@@ -16,6 +18,10 @@ double RecModel::rmse(std::span<const data::Rating> ratings) const {
     acc += error * error;
   }
   return std::sqrt(acc / static_cast<double>(ratings.size()));
+}
+
+void RecModel::serialize_into(serialize::BinaryWriter& w) const {
+  w.raw(serialize());
 }
 
 void RecModel::charge_merge_buffer(BytesView /*blob*/,

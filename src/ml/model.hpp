@@ -16,6 +16,10 @@
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
 
+namespace rex::serialize {
+class BinaryWriter;
+}
+
 namespace rex::ml {
 
 class RecModel;
@@ -88,6 +92,11 @@ class RecModel {
 
   /// Wire encoding of all parameters (the "share model" payload).
   [[nodiscard]] virtual Bytes serialize() const = 0;
+
+  /// Appends serialize()'s bytes to `w`, wire_size() of them: the share
+  /// path encodes a model straight into its outbound buffer, with no staged
+  /// copy. The default appends serialize().
+  virtual void serialize_into(serialize::BinaryWriter& w) const;
 
   /// Quantized wire encoding (RexConfig::quantize_model_shares): a smaller
   /// blob that deserialize() must accept, trading bounded parameter error

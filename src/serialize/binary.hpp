@@ -30,6 +30,10 @@ class BinaryWriter {
     out_.clear();
   }
 
+  /// Capacity for `n` more bytes: an encoder that knows its size up front
+  /// grows the buffer once instead of by doubling.
+  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
+
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v) {
     out_.push_back(static_cast<std::uint8_t>(v));

@@ -92,6 +92,7 @@ class BufferPool {
   struct Block {
     std::atomic<std::uint32_t> refs{1};
     BufferPool* pool = nullptr;  // null = free with delete on last release
+    std::size_t shard = 0;       // the shard acquire_block() served it from
     std::size_t size = 0;        // logical payload size (bytes may be fatter)
     Bytes bytes;
   };
@@ -127,7 +128,8 @@ class BufferPool {
 
   /// A recycled (or fresh) refcount block owning `bytes`, refs == 1.
   [[nodiscard]] Block* acquire_block(Bytes bytes) {
-    Shard& shard = local_shard();
+    const std::size_t shard_index = local_shard_index();
+    Shard& shard = shards_[shard_index];
     Block* block = nullptr;
     {
       std::lock_guard lock(shard.mutex);
@@ -139,16 +141,21 @@ class BufferPool {
     if (block == nullptr) block = new Block;
     block->refs.store(1, std::memory_order_relaxed);
     block->pool = this;
+    block->shard = shard_index;
     block->size = bytes.size();
     block->bytes = std::move(bytes);
     return block;
   }
 
-  /// Last reference dropped: the byte storage rejoins the releasing
-  /// thread's scratch freelist (its capacity feeds that thread's next
-  /// encode) and the shell is parked for the next acquire_block.
+  /// Last reference dropped: the byte storage and the shell return to the
+  /// shard they were acquired from, whichever thread drops the last
+  /// reference. Which receiver releases a fanned-out share last depends on
+  /// thread timing; returning storage to the releasing thread's shard would
+  /// drain some shards (fresh allocations, page faults) and hoard in others
+  /// at random. Returned to their origin, a producer's buffers cycle back
+  /// to it, so a warm share path allocates nothing, run after run.
   void release_block(Block* block) {
-    Shard& shard = local_shard();
+    Shard& shard = shards_[block->shard];
     std::lock_guard lock(shard.mutex);
     if (block->bytes.capacity() != 0) {
       shard.free_bytes.push_back(std::move(block->bytes));
@@ -200,12 +207,13 @@ class BufferPool {
   /// process-wide counter), so repeated acquire/release from one thread
   /// reuses one freelist — the single-threaded recycling behavior the unit
   /// tests pin down — while distinct workers land on distinct shards.
-  [[nodiscard]] Shard& local_shard() {
+  [[nodiscard]] static std::size_t local_shard_index() {
     static std::atomic<std::size_t> next_thread{0};
     static thread_local std::size_t thread_slot =
         next_thread.fetch_add(1, std::memory_order_relaxed);
-    return shards_[thread_slot % kShards];
+    return thread_slot % kShards;
   }
+  [[nodiscard]] Shard& local_shard() { return shards_[local_shard_index()]; }
 
   std::array<Shard, kShards> shards_;
 };

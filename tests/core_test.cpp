@@ -14,7 +14,9 @@
 #include "graph/topology.hpp"
 #include "ml/mf.hpp"
 #include "net/transport.hpp"
+#include "serialize/binary.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace rex::core {
 namespace {
@@ -44,6 +46,32 @@ TEST(Payload, EncodeDecodeModelAndEmpty) {
   empty.kind = PayloadKind::kEmpty;
   EXPECT_EQ(ProtocolPayload::decode(empty.encode()).kind,
             PayloadKind::kEmpty);
+}
+
+TEST(Payload, EncodeModelWritesTheStagedEncodingInPlace) {
+  // The share path serializes its model straight into the outbound
+  // buffer: the bytes must be exactly encode()'s with the blob staged.
+  ml::MfConfig config;
+  config.n_users = 5;
+  config.n_items = 11;
+  config.embedding_dim = 3;
+  Rng rng(3);
+  const ml::MfModel model(config, rng);
+  const auto write = [&model](serialize::BinaryWriter& w) {
+    model.serialize_into(w);
+  };
+  ProtocolPayload p;
+  p.kind = PayloadKind::kModel;
+  p.epoch = 300;  // a two-byte varint
+  p.sender_degree = 4;
+  const Bytes in_place =
+      p.encode_model(Bytes(7, 0xAB), model.wire_size(), write);
+  p.model_blob = model.serialize();
+  EXPECT_EQ(model.serialize().size(), model.wire_size());
+  EXPECT_EQ(in_place, p.encode());
+  // A blob writer that breaks its size promise is caught.
+  EXPECT_THROW((void)p.encode_model(Bytes{}, model.wire_size() + 1, write),
+               Error);
 }
 
 TEST(Payload, RejectsGarbage) {

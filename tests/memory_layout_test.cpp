@@ -154,6 +154,31 @@ TEST(BufferPool, PooledSharedBytesRoundTripsContentsUnderThreads) {
   EXPECT_GT(stats.reused, 0u);  // the loops got warm
 }
 
+TEST(BufferPool, PooledBlockReturnsToTheShardItCameFrom) {
+  // The last reference to a fanned-out share drops on whichever thread
+  // merges it last. Its storage must still come back to the producer's
+  // freelist, or a producer that keeps sharing allocates afresh while
+  // other shards hoard. Two consecutive threads hold consecutive shard
+  // slots, so at most one of them can share this thread's shard.
+  BufferPool pool;
+  std::vector<SharedBytes> shares;
+  for (int i = 0; i < 2; ++i) {
+    Bytes bytes = pool.acquire();
+    bytes.assign(64, static_cast<std::uint8_t>(i));
+    shares.push_back(SharedBytes::pooled(pool, std::move(bytes)));
+  }
+  EXPECT_EQ(pool.stats().fresh, 2u);
+  for (SharedBytes& share : shares) {
+    std::thread([&share] { share = SharedBytes{}; }).join();
+  }
+  for (int i = 0; i < 2; ++i) {
+    const Bytes buffer = pool.acquire();
+    EXPECT_GE(buffer.capacity(), 64u);
+  }
+  EXPECT_EQ(pool.stats().reused, 2u);
+  EXPECT_EQ(pool.stats().fresh, 2u);
+}
+
 TEST(BufferPool, TrimDropsCachedCapacity) {
   BufferPool pool;
   for (int i = 0; i < 3; ++i) {
