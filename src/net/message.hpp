@@ -34,9 +34,6 @@ struct Envelope {
   NodeId dst = 0;
   MessageKind kind = MessageKind::kProtocol;
   SharedBytes payload;
-  /// Transport bookkeeping (not on the wire): routing order stamp used to
-  /// merge sharded inboxes back into deterministic delivery order.
-  std::uint64_t arrival = 0;
   /// Simulated delivery timestamps (not on the wire), stamped by the event
   /// engine when the envelope is released per edge: transmission end on the
   /// sender's uplink and arrival at the destination (the engine checks each
@@ -52,6 +49,13 @@ struct Envelope {
   /// still occupied the links it crossed before vanishing. Zero (kNone) on
   /// every envelope when no harness is installed.
   std::uint8_t fault = 0;
+  /// Event-engine verdict on this delivery (not on the wire): the math
+  /// phase sets it true when the envelope reaches its host and false when
+  /// churn or an injected loss drops it, so the serial phase's resync and
+  /// fault accounting sees the same decision. Recomputing it there could
+  /// disagree when a kChurnUp hook in the same batch already flipped the
+  /// node's online flag.
+  bool delivered = false;
 
   /// Bytes on the wire: payload plus the fixed header.
   [[nodiscard]] std::size_t wire_size() const {

@@ -8,16 +8,14 @@ Transport::Transport(std::size_t node_count)
     : outboxes_(node_count), inboxes_(node_count), traffic_(node_count) {}
 
 void Transport::flush_round() {
-  // Sender-major routing: each destination shard receives envelopes in
-  // nondecreasing sender order, which drain_inbox() relies on to merge the
-  // shards back into the global (sender id, send order) sequence.
+  // Sender-major routing: each inbox receives envelopes in (sender id, send
+  // order) sequence, appended after whatever earlier flushes left there.
   for (EnvelopeFifo& outbox : outboxes_) {
     while (!outbox.empty()) {
       Envelope env = outbox.pop_front();
       record_send(env);
       record_delivery(env);
-      env.arrival = next_arrival_++;
-      inboxes_[env.dst][env.src % kInboxShards].push_back(std::move(env));
+      inboxes_[env.dst].push_back(std::move(env));
     }
   }
 }
@@ -30,32 +28,15 @@ std::vector<Envelope> Transport::drain_inbox(NodeId node) {
 
 void Transport::drain_inbox(NodeId node, std::vector<Envelope>& out) {
   check_node(node);
-  InboxShards& shards = inboxes_[node];
-  std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
+  EnvelopeFifo& inbox = inboxes_[node];
   out.clear();
-  out.reserve(total);
-  // K-way merge on the routing stamp: each shard is FIFO (stamps increase),
-  // so repeatedly taking the smallest front stamp reproduces the exact
-  // routing order — (flush batch, sender id, send order).
-  while (out.size() < total) {
-    std::size_t best = kInboxShards;
-    for (std::size_t s = 0; s < kInboxShards; ++s) {
-      if (shards[s].empty()) continue;
-      if (best == kInboxShards ||
-          shards[s].front().arrival < shards[best].front().arrival) {
-        best = s;
-      }
-    }
-    out.push_back(shards[best].pop_front());
-  }
+  out.reserve(inbox.size());
+  while (!inbox.empty()) out.push_back(inbox.pop_front());
 }
 
 std::size_t Transport::inbox_size(NodeId node) const {
   check_node(node);
-  std::size_t total = 0;
-  for (const auto& shard : inboxes_[node]) total += shard.size();
-  return total;
+  return inboxes_[node].size();
 }
 
 std::vector<Envelope> Transport::take_outbox(NodeId src) {

@@ -1,15 +1,14 @@
-// In-process transport with per-node traffic accounting, sharded mailboxes,
-// and two delivery disciplines.
+// In-process transport with per-node traffic accounting, one FIFO mailbox
+// per node and direction, and two delivery disciplines.
 //
 // Sends always go to per-sender outboxes (no contention under node-parallel
 // execution; a single sender never sends concurrently with itself). From
 // there, two paths drain them:
 //
 //   Barrier path (synchronous rounds, attestation): flush_round() routes
-//   every queued send into the destination's inbox shards in deterministic
+//   every queued send into the destination's inbox in deterministic
 //   (sender id, send order) sequence and accounts traffic for both ends;
-//   drain_inbox() merges the shards back into that order, *moving* the
-//   envelopes out.
+//   drain_inbox() moves the envelopes out in that order.
 //
 //   Event path (sim::SimEngine): take_outbox(src) moves a sender's queued
 //   envelopes out (accounting the send side); the engine schedules one
@@ -17,15 +16,10 @@
 //   record_delivery() at the delivery timestamp. Envelopes never touch the
 //   inboxes on this path — the engine hands them straight to the host.
 //
-// Inboxes are sharded by sender id modulo kInboxShards — groundwork for
-// concurrent per-edge delivery (senders mapping to distinct shards of one
-// destination could deliver in parallel). Today every writer is serialized
-// per destination: flush_round() is single-threaded and the engine hands
-// event-path envelopes straight to hosts, so the shards carry no locks;
-// the per-envelope arrival stamp keeps drained order deterministic.
+// Every inbox writer is serialized (flush_round() is single-threaded), so
+// the mailboxes carry no locks.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "net/message.hpp"
@@ -34,8 +28,8 @@
 namespace rex::net {
 
 /// Recycled FIFO mailbox: a vector plus a head cursor. Every mailbox in the
-/// simulator fully drains between fills (outboxes at the flush/take, inbox
-/// shards at the barrier drain), so popping the last element resets the
+/// simulator fully drains between fills (outboxes at the flush/take,
+/// inboxes at the barrier drain), so popping the last element resets the
 /// cursor and keeps the storage — steady state is allocation-free, and an
 /// *idle* mailbox owns no heap at all (a node-count-sized deque array costs
 /// ~600 B per empty deque in block bookkeeping; at 100k nodes that is real
@@ -76,11 +70,12 @@ struct TrafficStats {
   }
 };
 
-class Transport {
+/// Cache-line aligned, so it never shares a line with a neighbouring heap
+/// object: worker threads lock payload_pool_'s mutex and read the mailbox
+/// and traffic vector headers on every send. Unaligned, the SGX D-PSGD
+/// cell (rexbench rex_sgx_dpsgd_er) ran about 4% slower.
+class alignas(64) Transport {
  public:
-  /// Inbox shards per destination, keyed by sender id modulo this.
-  static constexpr std::size_t kInboxShards = 8;
-
   explicit Transport(std::size_t node_count);
 
   [[nodiscard]] std::size_t node_count() const { return outboxes_.size(); }
@@ -100,14 +95,14 @@ class Transport {
 
   // ===== Barrier path =====
 
-  /// Routes all queued sends into destination inbox shards. Call at the
+  /// Routes all queued sends into destination inboxes. Call at the
   /// round barrier only (single-threaded). Accounts sender and receiver
   /// traffic in the current epoch window.
   void flush_round();
 
-  /// Removes and returns everything deliverable to `node`, merged across
-  /// shards back into (sender id, send order) sequence. Moves the
-  /// envelopes — payloads are not copied.
+  /// Removes and returns everything deliverable to `node`, in (flush batch,
+  /// sender id, send order) sequence. Moves the envelopes — payloads are
+  /// not copied.
   [[nodiscard]] std::vector<Envelope> drain_inbox(NodeId node);
 
   /// Allocation-free variant: drains into `out` (cleared first), so the
@@ -174,9 +169,7 @@ class Transport {
   void release_node_storage(NodeId node) {
     check_node(node);
     if (outboxes_[node].empty()) outboxes_[node].release_storage();
-    for (EnvelopeFifo& shard : inboxes_[node]) {
-      if (shard.empty()) shard.release_storage();
-    }
+    if (inboxes_[node].empty()) inboxes_[node].release_storage();
   }
 
   // ===== Accounting =====
@@ -200,8 +193,6 @@ class Transport {
     REX_REQUIRE(node < outboxes_.size(), "transport node id out of range");
   }
 
-  using InboxShards = std::array<EnvelopeFifo, kInboxShards>;
-
   /// Cumulative + per-epoch counters for one node, kept adjacent so one
   /// accounting update touches a single cache line (at 10k nodes every
   /// delivery hits a random node's counters; two parallel vectors cost two
@@ -217,9 +208,8 @@ class Transport {
   /// pool must be destroyed last (members destruct in reverse order).
   BufferPool payload_pool_;
   std::vector<EnvelopeFifo> outboxes_;  // indexed by sender
-  std::vector<InboxShards> inboxes_;    // indexed by receiver
-  std::vector<NodeTraffic> traffic_;            // indexed by node
-  std::uint64_t next_arrival_ = 0;  // routing order stamp (flush_round only)
+  std::vector<EnvelopeFifo> inboxes_;   // indexed by receiver
+  std::vector<NodeTraffic> traffic_;    // indexed by node
 };
 
 }  // namespace rex::net

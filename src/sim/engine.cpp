@@ -11,27 +11,6 @@
 
 namespace rex::sim {
 
-namespace {
-/// Event-path reuse of Envelope::arrival (unused off the barrier path): the
-/// math phase records whether a delivery was dropped to churn so the serial
-/// phase's resync accounting sees the same decision — recomputing it there
-/// could disagree when a kChurnUp hook in the same batch already flipped
-/// the node's online flag.
-constexpr std::uint64_t kArrivalDelivered = 0;
-constexpr std::uint64_t kArrivalDropped = 1;
-}  // namespace
-
-namespace {
-/// Calendar-queue shard count for a node population: one shard per ~16k
-/// nodes, capped at 8. Pop order is provably identical at any shard count
-/// (seq keys are unique, pop is argmin over shard tops), so this only
-/// affects push/pop contention and bucket sizes (DESIGN.md §10).
-std::size_t queue_shards(std::size_t nodes) {
-  return std::clamp<std::size_t>(nodes / 16384, std::size_t{1},
-                                 std::size_t{8});
-}
-}  // namespace
-
 SimEngine::SimEngine(const core::RexConfig& rex, const graph::Graph& topology,
                      ObjectArena<core::UntrustedHost>& hosts,
                      net::Transport& transport, const CostModel& cost_model,
@@ -45,8 +24,7 @@ SimEngine::SimEngine(const core::RexConfig& rex, const graph::Graph& topology,
       links_(links),
       pool_(pool),
       result_(result),
-      config_(config),
-      queue_(queue_shards(hosts.size())) {
+      config_(config) {
   const std::size_t n = hosts_.size();
   REX_REQUIRE(n >= 1, "engine needs at least one node");
   REX_REQUIRE(topology_.node_count() == n, "topology/hosts size mismatch");
@@ -397,15 +375,15 @@ net::Envelope* SimEngine::prepare_delivery(const Event& event) {
     // Harness-injected loss (DESIGN.md §8): the envelope crossed the wire
     // (paying the sender's uplink and the edge) but vanishes here. Not a
     // churn drop — the fault ledger, not deliveries_dropped, accounts it.
-    env.arrival = kArrivalDropped;
+    env.delivered = false;
     return nullptr;
   }
   if (!status.online && event.time >= status.offline_since) {
     ++status.deliveries_dropped;  // lost to churn
-    env.arrival = kArrivalDropped;
+    env.delivered = false;
     return nullptr;
   }
-  env.arrival = kArrivalDelivered;
+  env.delivered = true;
   transport_.record_delivery(env);
   return &env;
 }
@@ -413,7 +391,7 @@ net::Envelope* SimEngine::prepare_delivery(const Event& event) {
 void SimEngine::apply_group_math(std::span<const Event* const> group) {
   // Consecutive kDeliver events for this node collapse into one host
   // on_deliver_batch call (a single enclave entry whose decode loop stays
-  // hot). Engine-side per-delivery work — churn drops, arrival stamping,
+  // hot). Engine-side per-delivery work — churn drops, delivered verdicts,
   // receive accounting — still runs per event above, and any non-deliver
   // event flushes the pending run first, so the host observes exactly the
   // sequential dispatch order. (A dropped delivery never reaches the host,
@@ -488,14 +466,14 @@ void SimEngine::serial_event_hook(const Event& event) {
     case EventKind::kDeliver: {
       net::Envelope& env = delivery_slots_[event.slot];
       if (harness_ != nullptr && env.fault != FaultTag::kNone) {
-        harness_->on_fault_settled(env, env.arrival == kArrivalDelivered);
+        harness_->on_fault_settled(env, env.delivered);
       }
       if (env.kind == net::MessageKind::kResync) {
         // Resync conservation (DESIGN.md §6): every released byte lands
         // here — delivered or dropped to the receiver churning again.
         const std::uint64_t wire = env.wire_size();
         resync_totals_.in_flight_bytes -= wire;
-        if (env.arrival == kArrivalDropped) {
+        if (!env.delivered) {
           resync_totals_.dropped_bytes += wire;
         } else {
           resync_totals_.rx_bytes += wire;

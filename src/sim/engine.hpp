@@ -404,8 +404,8 @@ class SimEngine {
   /// (one enclave entry per run); other events dispatch singly at their
   /// exact sequential positions.
   void apply_group_math(std::span<const Event* const> group);
-  /// Engine-side half of one delivery: churn-drop check, arrival stamping
-  /// and receive accounting. Returns the envelope to hand to the host, or
+  /// Engine-side half of one delivery: churn-drop check, the
+  /// Envelope::delivered verdict and receive accounting. Returns the envelope to hand to the host, or
   /// nullptr when the delivery was dropped (receiver offline).
   net::Envelope* prepare_delivery(const Event& event);
   /// Post-math bookkeeping for a node that completed a protocol run at
@@ -512,10 +512,9 @@ class SimEngine {
   ExperimentResult& result_;
   Config config_;
 
-  /// Sharded calendar queue: identical (time, seq) pop order at any shard
-  /// count (support/calendar_queue.hpp), shards scaled to the node
-  /// population in the ctor (DESIGN.md §10).
-  ShardedCalendarQueue<Event, EventCalendarKey> queue_;
+  /// One calendar queue for every node population: exact (time, seq) pop
+  /// order (support/calendar_queue.hpp; DESIGN.md §10).
+  CalendarQueue<Event, EventCalendarKey> queue_;
   std::uint64_t next_seq_ = 0;
   SimTime clock_;
   std::size_t attestation_rounds_ = 0;

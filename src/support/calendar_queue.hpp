@@ -255,98 +255,4 @@ class CalendarQueue {
   Stats stats_;
 };
 
-/// N independent calendar shards behind the single-queue API (DESIGN.md
-/// §10). Items hash to a shard by their schedule sequence, so each shard's
-/// bucket ring and rebuild scans cover 1/N of the population; pop takes the
-/// global minimum across shard tops under the exact (time, seq) total order
-/// — seq is unique, so the pop sequence is *identical* to a single queue's
-/// for every shard count, and the count is free to scale with the node
-/// population without perturbing any seeded schedule. Shard tops are
-/// cached inside each CalendarQueue, so the argmin sweep costs N cached
-/// reads, not N searches.
-template <class T, class KeyFn>
-class ShardedCalendarQueue {
- public:
-  using Stats = typename CalendarQueue<T, KeyFn>::Stats;
-
-  explicit ShardedCalendarQueue(std::size_t shards = 1, KeyFn key = KeyFn{})
-      : key_(key) {
-    REX_REQUIRE(shards > 0, "sharded calendar queue needs >= 1 shard");
-    shards_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) shards_.emplace_back(key);
-  }
-
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
-  /// Merged shard counters plus this wrapper's global high-water mark.
-  [[nodiscard]] Stats stats() const {
-    Stats total;
-    for (const CalendarQueue<T, KeyFn>& shard : shards_) {
-      total.resizes += shard.stats().resizes;
-      total.direct_searches += shard.stats().direct_searches;
-    }
-    total.max_size = max_size_;
-    return total;
-  }
-
-  void push(T item) {
-    const std::size_t s =
-        static_cast<std::size_t>(key_(item).seq) % shards_.size();
-    shards_[s].push(std::move(item));
-    ++size_;
-    max_size_ = std::max(max_size_, size_);
-  }
-
-  [[nodiscard]] const T& top() { return shards_[min_shard()].top(); }
-
-  T pop() {
-    const std::size_t s = min_shard();
-    --size_;
-    return shards_[s].pop();
-  }
-
-  /// Pops every item whose time equals the global minimum queued time,
-  /// appending to `out` in seq order. Equal-time items may live in any
-  /// shard, so each matching shard contributes its batch and the appended
-  /// range is re-sorted by seq — the same order the single queue emits.
-  void pop_time_batch(std::vector<T>& out) {
-    const double t = key_(shards_[min_shard()].top()).time;
-    const std::size_t first = out.size();
-    for (CalendarQueue<T, KeyFn>& shard : shards_) {
-      if (!shard.empty() && key_(shard.top()).time == t) {
-        shard.pop_time_batch(out);
-      }
-    }
-    size_ -= out.size() - first;
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [this](const T& a, const T& b) {
-                return key_(a).seq < key_(b).seq;
-              });
-  }
-
- private:
-  /// Index of the shard holding the global (time, seq) minimum.
-  [[nodiscard]] std::size_t min_shard() {
-    REX_REQUIRE(size_ > 0, "sharded calendar queue is empty");
-    std::size_t best = shards_.size();
-    CalendarKey best_key;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s].empty()) continue;
-      const CalendarKey key = key_(shards_[s].top());
-      if (best == shards_.size() || key.before(best_key)) {
-        best = s;
-        best_key = key;
-      }
-    }
-    return best;
-  }
-
-  KeyFn key_;
-  std::vector<CalendarQueue<T, KeyFn>> shards_;
-  std::size_t size_ = 0;
-  std::size_t max_size_ = 0;
-};
-
 }  // namespace rex

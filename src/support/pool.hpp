@@ -24,7 +24,6 @@
 //                  returns it to the BufferPool it came from.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -78,144 +77,83 @@ class BufferPool {
     std::uint64_t fresh = 0;   // acquires that fell through to malloc
   };
 
-  /// Freelist shards. Producers acquire on math-phase worker threads and
-  /// consumers release on *different* worker threads, so a single mutex
-  /// serializes the whole share path; per-thread shards cut that contention
-  /// (DESIGN.md §10). A shard only caches *capacity* — which freelist a
-  /// buffer cycles through can never change the bytes any consumer reads —
-  /// so the thread->shard mapping is free to vary run to run without
-  /// perturbing determinism.
-  static constexpr std::size_t kShards = 8;
-
   /// Refcount block backing SharedBytes: one header + the byte storage,
   /// recycled wholesale so a warm share path performs zero allocations.
   struct Block {
     std::atomic<std::uint32_t> refs{1};
     BufferPool* pool = nullptr;  // null = free with delete on last release
-    std::size_t shard = 0;       // the shard acquire_block() served it from
     std::size_t size = 0;        // logical payload size (bytes may be fatter)
     Bytes bytes;
   };
 
   ~BufferPool() {
-    for (Shard& shard : shards_) {
-      for (Block* block : shard.free_blocks) delete block;
-    }
+    for (Block* block : free_blocks_) delete block;
   }
 
   /// A buffer with whatever capacity its previous life left behind (empty
-  /// size), or a fresh one when the calling thread's freelist shard is dry.
+  /// size), or a fresh one when the freelist is dry.
   [[nodiscard]] Bytes acquire() {
-    Shard& shard = local_shard();
-    std::lock_guard lock(shard.mutex);
-    if (shard.free_bytes.empty()) {
-      ++shard.stats.fresh;
+    std::lock_guard lock(mutex_);
+    if (free_bytes_.empty()) {
+      ++stats_.fresh;
       return Bytes{};
     }
-    ++shard.stats.reused;
-    Bytes buffer = std::move(shard.free_bytes.back());
-    shard.free_bytes.pop_back();
+    ++stats_.reused;
+    Bytes buffer = std::move(free_bytes_.back());
+    free_bytes_.pop_back();
     buffer.clear();
     return buffer;
   }
 
   void release(Bytes buffer) {
     if (buffer.capacity() == 0) return;
-    Shard& shard = local_shard();
-    std::lock_guard lock(shard.mutex);
-    shard.free_bytes.push_back(std::move(buffer));
+    std::lock_guard lock(mutex_);
+    free_bytes_.push_back(std::move(buffer));
   }
 
   /// A recycled (or fresh) refcount block owning `bytes`, refs == 1.
   [[nodiscard]] Block* acquire_block(Bytes bytes) {
-    const std::size_t shard_index = local_shard_index();
-    Shard& shard = shards_[shard_index];
     Block* block = nullptr;
     {
-      std::lock_guard lock(shard.mutex);
-      if (!shard.free_blocks.empty()) {
-        block = shard.free_blocks.back();
-        shard.free_blocks.pop_back();
+      std::lock_guard lock(mutex_);
+      if (!free_blocks_.empty()) {
+        block = free_blocks_.back();
+        free_blocks_.pop_back();
       }
     }
     if (block == nullptr) block = new Block;
     block->refs.store(1, std::memory_order_relaxed);
     block->pool = this;
-    block->shard = shard_index;
     block->size = bytes.size();
     block->bytes = std::move(bytes);
     return block;
   }
 
-  /// Last reference dropped: the byte storage and the shell return to the
-  /// shard they were acquired from, whichever thread drops the last
-  /// reference. Which receiver releases a fanned-out share last depends on
-  /// thread timing; returning storage to the releasing thread's shard would
-  /// drain some shards (fresh allocations, page faults) and hoard in others
-  /// at random. Returned to their origin, a producer's buffers cycle back
-  /// to it, so a warm share path allocates nothing, run after run.
+  /// Last reference dropped, on whichever thread: the byte storage and the
+  /// shell go back on the freelists for the next acquire on any thread.
   void release_block(Block* block) {
-    Shard& shard = shards_[block->shard];
-    std::lock_guard lock(shard.mutex);
+    std::lock_guard lock(mutex_);
     if (block->bytes.capacity() != 0) {
-      shard.free_bytes.push_back(std::move(block->bytes));
+      free_bytes_.push_back(std::move(block->bytes));
       block->bytes = Bytes{};
     }
-    shard.free_blocks.push_back(block);
+    free_blocks_.push_back(block);
   }
 
-  /// Sums over shards — totals match the single-freelist accounting.
   [[nodiscard]] Stats stats() const {
-    Stats total;
-    for (const Shard& shard : shards_) {
-      std::lock_guard lock(shard.mutex);
-      total.reused += shard.stats.reused;
-      total.fresh += shard.stats.fresh;
-    }
-    return total;
+    std::lock_guard lock(mutex_);
+    return stats_;
   }
   [[nodiscard]] std::size_t free_buffers() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-      std::lock_guard lock(shard.mutex);
-      total += shard.free_bytes.size();
-    }
-    return total;
-  }
-
-  /// Drops every cached buffer and block shell (freed-on-churn-down diet /
-  /// end-of-phase trim). Capacity only; in-flight blocks are unaffected.
-  void trim() {
-    for (Shard& shard : shards_) {
-      std::lock_guard lock(shard.mutex);
-      shard.free_bytes.clear();
-      shard.free_bytes.shrink_to_fit();
-      for (Block* block : shard.free_blocks) delete block;
-      shard.free_blocks.clear();
-    }
+    std::lock_guard lock(mutex_);
+    return free_bytes_.size();
   }
 
  private:
-  struct alignas(64) Shard {  // no false sharing between shard mutexes
-    mutable std::mutex mutex;
-    std::vector<Bytes> free_bytes;
-    std::vector<Block*> free_blocks;
-    Stats stats;
-  };
-
-  /// Each thread pins to one shard for its lifetime (round-robin over a
-  /// process-wide counter), so repeated acquire/release from one thread
-  /// reuses one freelist — the single-threaded recycling behavior the unit
-  /// tests pin down — while distinct workers land on distinct shards.
-  [[nodiscard]] static std::size_t local_shard_index() {
-    static std::atomic<std::size_t> next_thread{0};
-    static thread_local std::size_t thread_slot =
-        next_thread.fetch_add(1, std::memory_order_relaxed);
-    return thread_slot % kShards;
-  }
-  [[nodiscard]] Shard& local_shard() { return shards_[local_shard_index()]; }
-
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mutex_;
+  std::vector<Bytes> free_bytes_;
+  std::vector<Block*> free_blocks_;
+  Stats stats_;
 };
 
 /// Immutable refcounted byte buffer with an intrusive count — no

@@ -155,89 +155,6 @@ TEST(CalendarQueue, GrowShrinkCycleKeepsOrder) {
   EXPECT_TRUE(calendar.empty());
 }
 
-// ===== ShardedCalendarQueue (DESIGN.md §10) =====
-//
-// The sharding contract: because seq values are unique, the global
-// (time, seq) minimum is the minimum over shard tops, so the pop sequence
-// is *provably* the single queue's — at any shard count. These tests pin
-// that equivalence empirically, including the re-sorted equal-time batch.
-
-using Sharded = ShardedCalendarQueue<Event, EventCalendarKey>;
-
-TEST(ShardedCalendarQueue, FuzzMatchesSingleQueueAtEveryShardCount) {
-  for (const std::size_t shards : {1ul, 2ul, 3ul, 6ul, 8ul}) {
-    Rng rng(shards * 1299721);
-    Queue single;
-    Sharded sharded(shards);
-    std::uint64_t seq = 0;
-    double now = 0.0;
-    for (int step = 0; step < 20000; ++step) {
-      const bool push = single.empty() || rng.uniform(100) < 55;
-      if (push) {
-        const Event event = make_event(SimTime{draw_time(rng, now)}, seq++);
-        single.push(event);
-        sharded.push(event);
-      } else {
-        EXPECT_EQ(sharded.top().seq, single.top().seq);
-        const Event expected = single.pop();
-        const Event actual = sharded.pop();
-        ASSERT_EQ(actual.seq, expected.seq) << shards << " shards";
-        EXPECT_EQ(actual.time, expected.time);
-        now = actual.time.seconds;
-      }
-      ASSERT_EQ(sharded.size(), single.size());
-    }
-    while (!single.empty()) {
-      ASSERT_EQ(sharded.pop().seq, single.pop().seq) << shards << " shards";
-    }
-    EXPECT_TRUE(sharded.empty());
-  }
-}
-
-TEST(ShardedCalendarQueue, BatchPopsMergeEqualTimeRunsAcrossShards) {
-  // Heavy exact ties spread items of one timestamp over every shard; the
-  // merged batch must come back in global seq order, exactly the single
-  // queue's batch.
-  for (const std::size_t shards : {2ul, 6ul}) {
-    Rng rng(shards * 40503);
-    Queue single;
-    Sharded sharded(shards);
-    std::uint64_t seq = 0;
-    double now = 0.0;
-    std::vector<Event> single_batch, sharded_batch;
-    for (int round = 0; round < 3000; ++round) {
-      const std::size_t pushes = 1 + rng.uniform(6);
-      for (std::size_t i = 0; i < pushes; ++i) {
-        const Event event = make_event(SimTime{draw_time(rng, now)}, seq++);
-        single.push(event);
-        sharded.push(event);
-      }
-      if (rng.uniform(100) < 60) {
-        single_batch.clear();
-        sharded_batch.clear();
-        single.pop_time_batch(single_batch);
-        sharded.pop_time_batch(sharded_batch);
-        ASSERT_EQ(sharded_batch.size(), single_batch.size());
-        for (std::size_t i = 0; i < single_batch.size(); ++i) {
-          ASSERT_EQ(sharded_batch[i].seq, single_batch[i].seq)
-              << shards << " shards";
-          EXPECT_EQ(sharded_batch[i].time, single_batch[i].time);
-        }
-        now = single_batch.front().time.seconds;
-      }
-    }
-  }
-}
-
-TEST(ShardedCalendarQueue, PopLastItemAndEmptyChecks) {
-  Sharded sharded(4);
-  EXPECT_THROW((void)sharded.pop(), Error);
-  sharded.push(make_event(SimTime{1.0}, 3));
-  EXPECT_EQ(sharded.pop().seq, 3u);  // popping the last item must not throw
-  EXPECT_TRUE(sharded.empty());
-  EXPECT_THROW((void)sharded.top(), Error);
-}
-
 TEST(CalendarQueue, TopIsStableAndThrowsWhenEmpty) {
   Queue calendar;
   EXPECT_THROW((void)calendar.top(), Error);

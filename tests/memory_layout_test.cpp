@@ -1,6 +1,6 @@
 // Memory layout primitives of the mega-scale profile (DESIGN.md §10):
 // ObjectArena index/address stability, EnvelopeFifo storage recycling, the
-// sharded BufferPool freelists, and the lazy MF user-row store — including
+// BufferPool freelists, and the lazy MF user-row store — including
 // the wire contract that lazy and eager models speak byte-identical
 // encodings.
 #include <gtest/gtest.h>
@@ -105,12 +105,10 @@ TEST(EnvelopeFifo, ReleaseStorageRequiresEmpty) {
   EXPECT_EQ(fifo.items.capacity(), 0u);
 }
 
-// ===== Sharded BufferPool =====
+// ===== BufferPool =====
 
-TEST(BufferPool, SingleThreadRecyclesThroughOneShard) {
-  // Each thread pins to one freelist shard, so single-threaded
-  // acquire/release must behave exactly like the pre-sharding pool:
-  // capacity cycles, stats count the reuse.
+TEST(BufferPool, SingleThreadRecyclesCapacity) {
+  // Single-threaded acquire/release: capacity cycles, stats count the reuse.
   BufferPool pool;
   Bytes first = pool.acquire();
   EXPECT_EQ(pool.stats().fresh, 1u);
@@ -124,10 +122,23 @@ TEST(BufferPool, SingleThreadRecyclesThroughOneShard) {
   EXPECT_EQ(pool.free_buffers(), 0u);
 }
 
+TEST(BufferPool, BufferReleasedOnOneThreadServesAcquireOnAnother) {
+  // Producers acquire on one worker and consumers release on another: the
+  // next acquire, on any thread, must reuse the released capacity instead
+  // of allocating.
+  BufferPool pool;
+  Bytes buffer(512, std::uint8_t{7});
+  std::thread([&pool, &buffer] { pool.release(std::move(buffer)); }).join();
+  Bytes reused;
+  std::thread([&pool, &reused] { reused = pool.acquire(); }).join();
+  EXPECT_GE(reused.capacity(), 512u);
+  EXPECT_EQ(pool.stats().reused, 1u);
+  EXPECT_EQ(pool.stats().fresh, 0u);
+}
+
 TEST(BufferPool, PooledSharedBytesRoundTripsContentsUnderThreads) {
-  // Which shard a buffer cycles through must never change the bytes a
-  // consumer reads: hammer pooled payloads from several threads and check
-  // every payload's contents.
+  // Recycling must never change the bytes a consumer reads: hammer pooled
+  // payloads from several threads and check every payload's contents.
   BufferPool pool;
   std::vector<std::thread> workers;
   std::atomic<int> mismatches{0};
@@ -154,12 +165,10 @@ TEST(BufferPool, PooledSharedBytesRoundTripsContentsUnderThreads) {
   EXPECT_GT(stats.reused, 0u);  // the loops got warm
 }
 
-TEST(BufferPool, PooledBlockReturnsToTheShardItCameFrom) {
+TEST(BufferPool, PooledBlockStorageReturnsAfterLastReleaseOnAnyThread) {
   // The last reference to a fanned-out share drops on whichever thread
-  // merges it last. Its storage must still come back to the producer's
-  // freelist, or a producer that keeps sharing allocates afresh while
-  // other shards hoard. Two consecutive threads hold consecutive shard
-  // slots, so at most one of them can share this thread's shard.
+  // merges it last. Its storage must still come back to the producer, or a
+  // producer that keeps sharing allocates afresh.
   BufferPool pool;
   std::vector<SharedBytes> shares;
   for (int i = 0; i < 2; ++i) {
@@ -177,20 +186,6 @@ TEST(BufferPool, PooledBlockReturnsToTheShardItCameFrom) {
   }
   EXPECT_EQ(pool.stats().reused, 2u);
   EXPECT_EQ(pool.stats().fresh, 2u);
-}
-
-TEST(BufferPool, TrimDropsCachedCapacity) {
-  BufferPool pool;
-  for (int i = 0; i < 3; ++i) {
-    Bytes bytes(128, std::uint8_t{0});
-    pool.release(std::move(bytes));
-  }
-  EXPECT_EQ(pool.free_buffers(), 3u);
-  pool.trim();
-  EXPECT_EQ(pool.free_buffers(), 0u);
-  // Post-trim acquires fall through to fresh allocations, not stale blocks.
-  const Bytes fresh = pool.acquire();
-  EXPECT_EQ(fresh.capacity(), 0u);
 }
 
 // ===== Lazy MF user rows =====

@@ -1,6 +1,9 @@
 // Transport tests: round-barrier delivery, ordering, traffic accounting.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/transport.hpp"
 #include "support/error.hpp"
 
@@ -154,15 +157,15 @@ TEST(Transport, DrainMovesPayloadsOutOfTheInbox) {
   t.flush_round();
   const auto delivered = t.drain_inbox(1);
   ASSERT_EQ(delivered.size(), 1u);
-  // The payload buffer traveled by move through outbox, shard and drain.
+  // The payload buffer traveled by move through outbox, inbox and drain.
   EXPECT_EQ(delivered[0].payload.data(), data_before);
   EXPECT_EQ(t.inbox_size(1), 0u);
 }
 
-TEST(Transport, ShardedInboxPreservesOrderAcrossManySenders) {
-  // More senders than shards: the k-way merge must still reproduce the
-  // (sender id, send order) sequence.
-  constexpr std::size_t kNodes = 3 * Transport::kInboxShards + 1;
+TEST(Transport, InboxPreservesSenderOrderAcrossManySenders) {
+  // Senders queue in descending id order; the drain must still come back
+  // in (sender id, send order) sequence.
+  constexpr std::size_t kNodes = 25;
   Transport t(kNodes);
   for (NodeId src = kNodes - 1; src >= 1; --src) {
     t.send(make(src, 0, src));
@@ -178,6 +181,31 @@ TEST(Transport, ShardedInboxPreservesOrderAcrossManySenders) {
     EXPECT_EQ(delivered[i + 1].src, expected_src);
     EXPECT_EQ(delivered[i + 1].payload.size(), expected_src + 100u);
   }
+}
+
+TEST(Transport, TwoFlushesBeforeOneDrainKeepFlushBatchOrder) {
+  // An inbox left undrained across flushes delivers in (flush batch,
+  // sender id, send order): everything routed by the first flush comes
+  // before anything routed by the second, even from lower sender ids.
+  Transport t(4);
+  t.send(make(3, 0, 1));
+  t.send(make(2, 0, 2));
+  t.send(make(2, 0, 3));
+  t.flush_round();
+  t.send(make(1, 0, 4));
+  t.send(make(3, 0, 5));
+  t.send(make(1, 0, 6));
+  t.flush_round();
+  EXPECT_EQ(t.inbox_size(0), 6u);
+  const auto delivered = t.drain_inbox(0);
+  const std::vector<std::pair<NodeId, std::size_t>> expected = {
+      {2, 2}, {2, 3}, {3, 1}, {1, 4}, {1, 6}, {3, 5}};
+  ASSERT_EQ(delivered.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(delivered[i].src, expected[i].first) << i;
+    EXPECT_EQ(delivered[i].payload.size(), expected[i].second) << i;
+  }
+  EXPECT_EQ(t.inbox_size(0), 0u);
 }
 
 TEST(Transport, ManyMessagesFifoPerSender) {

@@ -80,10 +80,8 @@ TEST(ScaleDeterminism, EventDriven10kIdenticalAcross1_2_8Threads) {
 }
 
 // The mega profile (DESIGN.md §10): 100k one-user nodes with the
-// lean-memory diet on — lazy MF user rows, the shared read-only test set,
-// arena-packed hosts and the sharded calendar queue (100k nodes is past the
-// 16384-nodes-per-shard threshold, so unlike the 10k cells these run with a
-// genuinely sharded queue). One epoch: the coverage target is bit-identity
+// lean-memory diet on — lazy MF user rows, the shared read-only test set
+// and arena-packed hosts. One epoch: the coverage target is bit-identity
 // of every metric across worker-thread counts at mega scale, not
 // convergence.
 constexpr std::size_t kMegaNodes = 100000;
