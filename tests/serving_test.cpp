@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -535,6 +536,93 @@ TEST(ServingOffGolden, EventChurnBitIdenticalToPrePrDumps) {
   expect_golden_identity(churn_scenario(),
                          "serving_off_event_churn_rounds.csv",
                          "serving_off_event_churn_nodes.csv");
+}
+
+// ===== Golden identity with the query load on =====
+
+/// Every RoundRecord field at %.17g (write_csv rounds to 6-9 digits).
+void write_records_full_precision(const ExperimentResult& result,
+                                  const std::string& path) {
+  std::ofstream out(path);
+  out << "epoch,round_time_s,cumulative_time_s,nodes_reporting,"
+         "reachable_fraction,mean_rmse,min_rmse,max_rmse,bytes_in_out,"
+         "mean_merge_s,mean_train_s,mean_share_s,mean_test_s,max_merge_s,"
+         "max_train_s,max_share_s,max_test_s,mean_memory_bytes,"
+         "max_memory_bytes,mean_store_size,duplicates_dropped,"
+         "bytes_saved_compression\n";
+  for (const RoundRecord& r : result.rounds) {
+    char line[1024];
+    std::snprintf(
+        line, sizeof line,
+        "%llu,%.17g,%.17g,%zu,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,"
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%llu,%llu\n",
+        static_cast<unsigned long long>(r.epoch), r.round_time.seconds,
+        r.cumulative_time.seconds, r.nodes_reporting, r.reachable_fraction,
+        r.mean_rmse, r.min_rmse, r.max_rmse, r.mean_bytes_in_out,
+        r.mean_stages.merge.seconds, r.mean_stages.train.seconds,
+        r.mean_stages.share.seconds, r.mean_stages.test.seconds,
+        r.max_stages.merge.seconds, r.max_stages.train.seconds,
+        r.max_stages.share.seconds, r.max_stages.test.seconds,
+        r.mean_memory_bytes, r.max_memory_bytes, r.mean_store_size,
+        static_cast<unsigned long long>(r.duplicates_dropped),
+        static_cast<unsigned long long>(r.bytes_saved_compression));
+    out << line;
+  }
+}
+
+/// The latency and staleness estimators at %.17g, one row each.
+void write_estimators(const SimEngine& engine, const std::string& path) {
+  std::ofstream out(path);
+  out << "estimator,count,mean,max,p50,p99,p999\n";
+  const auto row = [&](const char* name, const PercentileEstimator& e) {
+    char line[512];
+    std::snprintf(line, sizeof line,
+                  "%s,%llu,%.17g,%.17g,%.17g,%.17g,%.17g\n", name,
+                  static_cast<unsigned long long>(e.count()), e.mean(),
+                  e.max(), e.quantile(0.5), e.quantile(0.99),
+                  e.quantile(0.999));
+    out << line;
+  };
+  row("latency", engine.query_latency());
+  row("staleness", engine.query_staleness());
+}
+
+/// Runs `scenario` with test_load() and compares four dumps against
+/// `<cell>_{rounds,nodes,records,queries}.csv`: write_csv, write_node_csv
+/// (per-node query counters included), every RoundRecord field and the
+/// query estimators at full precision.
+void expect_serving_on_golden(Scenario scenario, const std::string& cell) {
+  scenario.query_load = test_load();
+  ScenarioInputs inputs;
+  Simulator simulator = make_scenario_simulator(scenario, inputs);
+  simulator.run(scenario.epochs);
+  const auto tmp = std::filesystem::temp_directory_path();
+  const auto fresh = [&](const std::string& suffix) {
+    return (tmp / ("rex_" + cell + suffix)).string();
+  };
+  write_csv(simulator.result(), fresh("_rounds.csv"));
+  write_node_csv(simulator.engine(), fresh("_nodes.csv"));
+  write_records_full_precision(simulator.result(), fresh("_records.csv"));
+  write_estimators(simulator.engine(), fresh("_queries.csv"));
+  EXPECT_GT(simulator.engine().query_totals().served, 0u);
+  const char* const suffixes[] = {"_rounds.csv", "_nodes.csv",
+                                  "_records.csv", "_queries.csv"};
+  for (const char* suffix : suffixes) {
+    expect_csv_matches_golden(fresh(suffix), cell + suffix);
+  }
+  if (::testing::Test::HasFailure()) {
+    ADD_FAILURE() << "fresh dumps kept at " << fresh("_*.csv");
+    return;
+  }
+  for (const char* suffix : suffixes) std::filesystem::remove(fresh(suffix));
+}
+
+TEST(ServingOnGolden, BarrierDpsgd) {
+  expect_serving_on_golden(base_scenario(), "serving_on_barrier_dpsgd");
+}
+
+TEST(ServingOnGolden, EventChurn) {
+  expect_serving_on_golden(churn_scenario(), "serving_on_event_churn");
 }
 
 // ===== Query CSV writer =====
