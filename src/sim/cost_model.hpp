@@ -9,6 +9,8 @@
 // from the runtime's EpcModel.
 #pragma once
 
+#include <algorithm>
+
 #include "core/epoch_counters.hpp"
 #include "core/untrusted_host.hpp"
 #include "sim/link_model.hpp"
@@ -65,6 +67,30 @@ struct StageTimes {
   SimTime test;
 
   [[nodiscard]] SimTime total() const { return merge + train + share + test; }
+
+  /// Every stage multiplied by `factor` (a node's epoch slowdown).
+  [[nodiscard]] StageTimes scaled(double factor) const {
+    return {merge * factor, train * factor, share * factor, test * factor};
+  }
+  StageTimes& operator+=(const StageTimes& other) {
+    merge += other.merge;
+    train += other.train;
+    share += other.share;
+    test += other.test;
+    return *this;
+  }
+  /// Elementwise max: each stage becomes the larger of the two.
+  void raise_to(const StageTimes& other) {
+    merge = std::max(merge, other.merge);
+    train = std::max(train, other.train);
+    share = std::max(share, other.share);
+    test = std::max(test, other.test);
+  }
+  /// This as a sum over `count` items, divided back into a per-item mean.
+  [[nodiscard]] StageTimes mean(double count) const {
+    return {SimTime{merge.seconds / count}, SimTime{train.seconds / count},
+            SimTime{share.seconds / count}, SimTime{test.seconds / count}};
+  }
 };
 
 class CostModel {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <span>
 
 #include "ml/topk.hpp"
 #include "sim/scenario.hpp"
@@ -287,26 +287,15 @@ void SimEngine::run_barrier_round() {
 void SimEngine::collect_round_record() {
   const std::size_t n = hosts_.size();
   const SimTime round_start = clock_;
-  RoundRecord record;
-  record.epoch = result_.rounds.size();
-  record.nodes_reporting = n;
-
+  EpochBucket bucket;
   SimTime slowest;
-  double rmse_sum = 0.0, bytes_sum = 0.0, mem_sum = 0.0, store_sum = 0.0;
-  record.min_rmse = std::numeric_limits<double>::infinity();
   for (core::NodeId id = 0; id < n; ++id) {
     const core::UntrustedHost& host = hosts_[id];
-    const core::EpochCounters& c = host.trusted().last_epoch();
-    StageTimes stages = cost_model_.stage_times(host);
-    if (config_.dynamics.heterogeneous()) {
-      // Same per-node draw sequence as the event engine, so barrier-vs-async
-      // comparisons see the same straggler realizations.
-      const double factor = epoch_slowdown(id);
-      stages.merge = stages.merge * factor;
-      stages.train = stages.train * factor;
-      stages.share = stages.share * factor;
-      stages.test = stages.test * factor;
-    }
+    // Same per-node draw sequence as the event engine, so barrier-vs-async
+    // comparisons see the same straggler realizations (without dynamics the
+    // factor is exactly 1 and nothing is drawn).
+    const StageTimes stages =
+        cost_model_.stage_times(host).scaled(epoch_slowdown(id));
     note_epochs_done(id, 1);
     if (query_load_.enabled()) {
       // Serving bookkeeping (DESIGN.md §9): in a barrier round the node
@@ -317,43 +306,14 @@ void SimEngine::collect_round_record() {
       status.model_fresh_at = status.busy_until;
       status.model_epoch = host.trusted().epochs_completed();
     }
-
     slowest = std::max(slowest, stages.total());
-    record.mean_stages.merge += stages.merge;
-    record.mean_stages.train += stages.train;
-    record.mean_stages.share += stages.share;
-    record.mean_stages.test += stages.test;
-    record.max_stages.merge = std::max(record.max_stages.merge, stages.merge);
-    record.max_stages.train = std::max(record.max_stages.train, stages.train);
-    record.max_stages.share = std::max(record.max_stages.share, stages.share);
-    record.max_stages.test = std::max(record.max_stages.test, stages.test);
-
-    rmse_sum += c.rmse;
-    record.min_rmse = std::min(record.min_rmse, c.rmse);
-    record.max_rmse = std::max(record.max_rmse, c.rmse);
-    const net::TrafficStats& traffic = transport_.epoch_stats(id);
-    bytes_sum += static_cast<double>(traffic.bytes_total());
-    const double memory =
-        static_cast<double>(host.runtime().stats().resident_bytes);
-    mem_sum += memory;
-    record.max_memory_bytes = std::max(record.max_memory_bytes, memory);
-    store_sum += static_cast<double>(c.store_size);
-    record.duplicates_dropped += c.duplicates_dropped;
-    record.bytes_saved_compression += c.bytes_saved_compression;
+    // Nodes never churn in barrier mode: every node is reachable.
+    bucket.add(host.trusted().last_epoch(), stages,
+               static_cast<double>(transport_.epoch_stats(id).bytes_total()),
+               static_cast<double>(host.runtime().stats().resident_bytes),
+               1.0);
   }
-  if (record.min_rmse > record.max_rmse) {
-    record.min_rmse = record.max_rmse;  // no nodes reported: never leak +inf
-  }
-  const double dn = static_cast<double>(n);
-  record.mean_rmse = rmse_sum / dn;
-  record.mean_bytes_in_out = bytes_sum / dn;
-  record.mean_stages.merge = SimTime{record.mean_stages.merge.seconds / dn};
-  record.mean_stages.train = SimTime{record.mean_stages.train.seconds / dn};
-  record.mean_stages.share = SimTime{record.mean_stages.share.seconds / dn};
-  record.mean_stages.test = SimTime{record.mean_stages.test.seconds / dn};
-  record.mean_memory_bytes = mem_sum / dn;
-  record.mean_store_size = store_sum / dn;
-
+  RoundRecord record = bucket.record(result_.rounds.size());
   // Homogeneous: the historical global propagation latency, bit-identical.
   // WAN profiles: the barrier waits for its slowest link every round.
   record.round_time = slowest + links_.round_latency();
@@ -361,6 +321,45 @@ void SimEngine::collect_round_record() {
   record.cumulative_time = clock_;
   result_.rounds.push_back(record);
   if (query_load_.enabled()) run_barrier_queries(clock_);
+}
+
+void SimEngine::EpochBucket::add(const core::EpochCounters& counters,
+                                 const StageTimes& stages, double bytes,
+                                 double memory, double reachable) {
+  const bool first = contributors == 0;
+  ++contributors;
+  reachable_sum += reachable;
+  rmse_sum += counters.rmse;
+  rmse_min = first ? counters.rmse : std::min(rmse_min, counters.rmse);
+  rmse_max = std::max(rmse_max, counters.rmse);
+  stage_sum += stages;
+  stage_max.raise_to(stages);
+  bytes_sum += bytes;
+  mem_sum += memory;
+  mem_max = std::max(mem_max, memory);
+  store_sum += static_cast<double>(counters.store_size);
+  duplicates += counters.duplicates_dropped;
+  bytes_saved += counters.bytes_saved_compression;
+}
+
+RoundRecord SimEngine::EpochBucket::record(std::uint64_t epoch) const {
+  const double dn = static_cast<double>(contributors);
+  RoundRecord r;
+  r.epoch = epoch;
+  r.nodes_reporting = contributors;
+  r.reachable_fraction = reachable_sum / dn;
+  r.mean_rmse = rmse_sum / dn;
+  r.min_rmse = rmse_min;
+  r.max_rmse = rmse_max;
+  r.mean_bytes_in_out = bytes_sum / dn;
+  r.mean_stages = stage_sum.mean(dn);
+  r.max_stages = stage_max;
+  r.mean_memory_bytes = mem_sum / dn;
+  r.max_memory_bytes = mem_max;
+  r.mean_store_size = store_sum / dn;
+  r.duplicates_dropped = duplicates;
+  r.bytes_saved_compression = bytes_saved;
+  return r;
 }
 
 // ===== Event mode =====
@@ -386,38 +385,6 @@ net::Envelope* SimEngine::prepare_delivery(const Event& event) {
   env.delivered = true;
   transport_.record_delivery(env);
   return &env;
-}
-
-void SimEngine::apply_group_math(std::span<const Event* const> group) {
-  // Consecutive kDeliver events for this node collapse into one host
-  // on_deliver_batch call (a single enclave entry whose decode loop stays
-  // hot). Engine-side per-delivery work — churn drops, delivered verdicts,
-  // receive accounting — still runs per event above, and any non-deliver
-  // event flushes the pending run first, so the host observes exactly the
-  // sequential dispatch order. (A dropped delivery never reaches the host,
-  // so it does not split a run.)
-  static thread_local std::vector<const net::Envelope*> run;
-  run.clear();
-  const core::NodeId node = group.front()->node;
-  const auto flush = [&] {
-    if (run.empty()) return;
-    if (run.size() == 1) {
-      hosts_[node].on_deliver(*run.front());
-    } else {
-      hosts_[node].on_deliver_batch(run);
-    }
-    run.clear();
-  };
-  for (const Event* event : group) {
-    if (event->kind == EventKind::kDeliver) {
-      ++nodes_[event->node].events_processed;
-      if (net::Envelope* env = prepare_delivery(*event)) run.push_back(env);
-      continue;
-    }
-    flush();
-    apply_event_math(*event);
-  }
-  flush();
 }
 
 void SimEngine::apply_event_math(const Event& event) {
@@ -508,38 +475,18 @@ void SimEngine::serial_event_hook(const Event& event) {
       const std::size_t epoch = static_cast<std::size_t>(pe.counters.epoch);
       if (buckets_.size() <= epoch) buckets_.resize(epoch + 1);
       EpochBucket& bucket = buckets_[epoch];
-      const bool first = bucket.contributors == 0;
-      ++bucket.contributors;
-      // Partition-aware sample: the fraction of the network online while
-      // this record was collected (churn-free runs stay at exactly 1.0).
-      bucket.reachable_sum += static_cast<double>(online_count_) /
-                              static_cast<double>(nodes_.size());
-      bucket.rmse_sum += pe.counters.rmse;
-      bucket.rmse_min =
-          first ? pe.counters.rmse : std::min(bucket.rmse_min, pe.counters.rmse);
-      bucket.rmse_max = std::max(bucket.rmse_max, pe.counters.rmse);
-      bucket.stage_sum.merge += pe.stages.merge;
-      bucket.stage_sum.train += pe.stages.train;
-      bucket.stage_sum.share += pe.stages.share;
-      bucket.stage_sum.test += pe.stages.test;
-      bucket.stage_max.merge = std::max(bucket.stage_max.merge, pe.stages.merge);
-      bucket.stage_max.train = std::max(bucket.stage_max.train, pe.stages.train);
-      bucket.stage_max.share = std::max(bucket.stage_max.share, pe.stages.share);
-      bucket.stage_max.test = std::max(bucket.stage_max.test, pe.stages.test);
-
       const net::TrafficStats& cumulative = transport_.stats(event.node);
       net::TrafficStats& mark = nodes_[event.node].traffic_mark;
-      bucket.bytes_sum +=
+      const double bytes =
           static_cast<double>(cumulative.bytes_total() - mark.bytes_total());
       mark = cumulative;
-
-      const double memory = static_cast<double>(
-          hosts_[event.node].runtime().stats().resident_bytes);
-      bucket.mem_sum += memory;
-      bucket.mem_max = std::max(bucket.mem_max, memory);
-      bucket.store_sum += static_cast<double>(pe.counters.store_size);
-      bucket.duplicates += pe.counters.duplicates_dropped;
-      bucket.bytes_saved += pe.counters.bytes_saved_compression;
+      // Partition-aware sample: the fraction of the network online while
+      // this record was collected (churn-free runs stay at exactly 1.0).
+      bucket.add(pe.counters, pe.stages, bytes,
+                 static_cast<double>(
+                     hosts_[event.node].runtime().stats().resident_bytes),
+                 static_cast<double>(online_count_) /
+                     static_cast<double>(nodes_.size()));
       bucket.duration_sum += pe.end - pe.start;
       bucket.last_end = std::max(bucket.last_end, pe.end);
       epoch_slots_.release(event.slot);
@@ -703,6 +650,15 @@ void SimEngine::flush_control(core::NodeId id, SimTime now) {
   control_scratch_.clear();
 }
 
+void SimEngine::finish_node(core::NodeId id, SimTime now) {
+  if (hosts_[id].trusted().epochs_completed() > nodes_[id].epochs_seen) {
+    post_epoch(id, now);
+  } else {
+    flush_control(id, now);  // rejoin traffic raised this batch
+  }
+  check_rejoin(id, now);
+}
+
 void SimEngine::check_rejoin(core::NodeId id, SimTime now) {
   if (!nodes_[id].rejoining) return;
   if (hosts_[id].trusted().rejoining()) return;  // exchange still running
@@ -789,21 +745,15 @@ void SimEngine::schedule_query(core::NodeId node, SimTime after) {
   schedule(arrival, node, EventKind::kQuery, slot);
 }
 
-void SimEngine::apply_query_math(const Event& event) {
-  NodeStatus& status = nodes_[event.node];
-  QueryJob& job = query_slots_[event.slot];
-  if (!status.online && event.time >= status.offline_since) {
-    // Same rule as prepare_delivery: the replica's outage has begun, the
-    // request has nowhere to go (routing to a warm peer is future work).
-    job.dropped = true;
-    return;
-  }
-  core::TrustedNode& trusted = hosts_[event.node].trusted();
+SimEngine::QueryJob SimEngine::serve_query(core::NodeId node, SimTime arrival,
+                                           std::uint64_t user_pick) {
+  const NodeStatus& status = nodes_[node];
+  core::TrustedNode& trusted = hosts_[node].trusted();
   const std::size_t users = trusted.local_user_count();
   const data::UserId user =
-      users > 0 ? trusted.local_user(
-                      static_cast<std::size_t>(job.user_pick % users))
-                : 0;
+      users > 0
+          ? trusted.local_user(static_cast<std::size_t>(user_pick % users))
+          : 0;
   // Real inference against the node's current model — the scoring loop and
   // the partial-sort select actually run (this is the wall-clock hot path
   // bench_serving measures), even though the simulated service time below
@@ -819,32 +769,49 @@ void SimEngine::apply_query_math(const Event& event) {
   // answered immediately by the last recorded model. Queries never extend
   // busy_until: serving does not slow training down, which keeps training
   // metrics byte-identical with the load on.
-  const double wait =
-      std::max(0.0, (status.busy_until - event.time).seconds);
+  const double wait = std::max(0.0, (status.busy_until - arrival).seconds);
+  QueryJob job;
+  job.user_pick = user_pick;
   job.latency_s = wait + compute.seconds;
   if (wait > 0.0) {
     job.staleness_s = 0.0;
     job.epoch = answer.epoch;
   } else {
-    job.staleness_s =
-        std::max(0.0, (event.time - status.model_fresh_at).seconds);
+    job.staleness_s = std::max(0.0, (arrival - status.model_fresh_at).seconds);
     job.epoch = status.model_epoch;
   }
+  return job;
+}
+
+void SimEngine::record_served(NodeStatus& status, const QueryJob& job) {
+  ++status.queries_served;
+  query_latency_.record(job.latency_s);
+  query_staleness_.record(job.staleness_s);
+  if (job.staleness_s > query_load_.config().stale_threshold_s) {
+    ++status.queries_stale;
+  }
+}
+
+void SimEngine::apply_query_math(const Event& event) {
+  const NodeStatus& status = nodes_[event.node];
+  QueryJob& job = query_slots_[event.slot];
+  if (!status.online && event.time >= status.offline_since) {
+    // Same rule as prepare_delivery: the replica's outage has begun, the
+    // request has nowhere to go (routing to a warm peer is future work).
+    job.dropped = true;
+    return;
+  }
+  job = serve_query(event.node, event.time, job.user_pick);
 }
 
 void SimEngine::account_query(const Event& event) {
   NodeStatus& status = nodes_[event.node];
-  QueryJob& job = query_slots_[event.slot];
+  const QueryJob& job = query_slots_[event.slot];
   ++status.queries_issued;
   if (job.dropped) {
     ++status.queries_dropped_offline;
   } else {
-    ++status.queries_served;
-    query_latency_.record(job.latency_s);
-    query_staleness_.record(job.staleness_s);
-    if (job.staleness_s > query_load_.config().stale_threshold_s) {
-      ++status.queries_stale;
-    }
+    record_served(status, job);
   }
   query_slots_.release(event.slot);
   // Chain the node's next arrival only while non-query work remains: when
@@ -854,41 +821,18 @@ void SimEngine::account_query(const Event& event) {
 }
 
 void SimEngine::run_barrier_queries(SimTime round_end) {
+  // busy_until and model_fresh_at were stamped to this round's per-node
+  // compute end in collect_round_record. Nodes never churn in barrier mode,
+  // so no drops.
   const std::size_t n = hosts_.size();
   for (core::NodeId id = 0; id < n; ++id) {
     NodeStatus& status = nodes_[id];
-    core::TrustedNode& trusted = hosts_[id].trusted();
     PendingQuery& next = barrier_query_next_[id];
     while (next.arrival < round_end) {
-      const SimTime arrival = next.arrival;
       ++status.queries_issued;
-      const std::size_t users = trusted.local_user_count();
-      const data::UserId user =
-          users > 0 ? trusted.local_user(
-                          static_cast<std::size_t>(next.user_pick % users))
-                    : 0;
-      const core::TrustedNode::QueryAnswer answer =
-          trusted.query_topk(user, query_load_.config().top_k);
-      (void)answer;
-      const SimTime compute = cost_model_.query_time(
-          ml::TopKIndex::flops_per_query(trusted.model()), status.slowdown);
-      // Same latency/staleness model as the event path; busy_until and
-      // model_fresh_at were stamped to this round's per-node compute end
-      // in collect_round_record. Nodes never churn in barrier mode, so no
-      // drops.
-      const double wait =
-          std::max(0.0, (status.busy_until - arrival).seconds);
-      const double staleness =
-          wait > 0.0
-              ? 0.0
-              : std::max(0.0, (arrival - status.model_fresh_at).seconds);
-      ++status.queries_served;
-      query_latency_.record(wait + compute.seconds);
-      query_staleness_.record(staleness);
-      if (staleness > query_load_.config().stale_threshold_s) {
-        ++status.queries_stale;
-      }
-      next.arrival = query_load_.next_arrival(id, arrival, query_rngs_[id]);
+      record_served(status, serve_query(id, next.arrival, next.user_pick));
+      next.arrival =
+          query_load_.next_arrival(id, next.arrival, query_rngs_[id]);
       next.user_pick = query_rngs_[id].next_u64();
     }
   }
@@ -909,12 +853,8 @@ void SimEngine::post_epoch(core::NodeId id, SimTime start) {
   core::UntrustedHost& host = hosts_[id];
   NodeStatus& status = nodes_[id];
 
-  const double factor = epoch_slowdown(id);
-  StageTimes stages = cost_model_.stage_times(host);
-  stages.merge = stages.merge * factor;
-  stages.train = stages.train * factor;
-  stages.share = stages.share * factor;
-  stages.test = stages.test * factor;
+  const StageTimes stages =
+      cost_model_.stage_times(host).scaled(epoch_slowdown(id));
 
   const SimTime begin = std::max(start, status.busy_until);
   const SimTime share_release =
@@ -1033,21 +973,16 @@ bool SimEngine::process_next_batch() {
     const Event& event = batch_.front();
     apply_event_math(event);
     serial_event_hook(event);
-    if (hosts_[event.node].trusted().epochs_completed() >
-        nodes_[event.node].epochs_seen) {
-      post_epoch(event.node, t);
-    } else {
-      flush_control(event.node, t);  // rejoin traffic raised this event
-    }
-    check_rejoin(event.node, t);
+    finish_node(event.node, t);
     if (harness_ != nullptr) harness_->on_batch(clock_);
     return true;
   }
 
   // Parallel math phase: group by node (nodes own disjoint state), one
-  // work-stealing shard per node, events within a node in seq order. The
-  // grouping containers are all recycled: stamps make the per-node lookup
-  // table reset lazily instead of O(n) per batch.
+  // work-stealing shard per node, events within a node in seq order and
+  // each through apply_event_math — a delivery is one host on_deliver, one
+  // ecall_input. The grouping containers are all recycled: stamps make the
+  // per-node lookup table reset lazily instead of O(n) per batch.
   for (std::size_t g = 0; g < groups_used_; ++g) groups_[g].clear();
   groups_used_ = 0;
   ++batch_stamp_;
@@ -1062,7 +997,7 @@ bool SimEngine::process_next_batch() {
     groups_[ref.slot].push_back(&event);
   }
   pool_.parallel_shards(groups_used_, [&](std::size_t g) {
-    apply_group_math(groups_[g]);
+    for (const Event* event : groups_[g]) apply_event_math(*event);
   });
 
   // Serial scheduling phase: event hooks in seq order, then completed
@@ -1075,14 +1010,7 @@ bool SimEngine::process_next_batch() {
     batch_nodes_.push_back(groups_[g].front()->node);
   }
   std::sort(batch_nodes_.begin(), batch_nodes_.end());
-  for (const core::NodeId id : batch_nodes_) {
-    if (hosts_[id].trusted().epochs_completed() > nodes_[id].epochs_seen) {
-      post_epoch(id, t);
-    } else {
-      flush_control(id, t);  // rejoin traffic raised this batch
-    }
-    check_rejoin(id, t);
-  }
+  for (const core::NodeId id : batch_nodes_) finish_node(id, t);
   if (harness_ != nullptr) harness_->on_batch(clock_);
   return true;
 }
@@ -1173,26 +1101,9 @@ void SimEngine::finalize_async_records() {
   for (std::size_t epoch = 0; epoch < buckets_.size(); ++epoch) {
     const EpochBucket& bucket = buckets_[epoch];
     if (bucket.contributors == 0) continue;
-    const double dn = static_cast<double>(bucket.contributors);
-    RoundRecord record;
-    record.epoch = epoch;
-    record.nodes_reporting = bucket.contributors;
-    record.reachable_fraction = bucket.reachable_sum / dn;
-    record.mean_rmse = bucket.rmse_sum / dn;
-    record.min_rmse = bucket.rmse_min;
-    record.max_rmse = bucket.rmse_max;
-    record.mean_bytes_in_out = bucket.bytes_sum / dn;
-    record.mean_stages.merge = SimTime{bucket.stage_sum.merge.seconds / dn};
-    record.mean_stages.train = SimTime{bucket.stage_sum.train.seconds / dn};
-    record.mean_stages.share = SimTime{bucket.stage_sum.share.seconds / dn};
-    record.mean_stages.test = SimTime{bucket.stage_sum.test.seconds / dn};
-    record.max_stages = bucket.stage_max;
-    record.mean_memory_bytes = bucket.mem_sum / dn;
-    record.max_memory_bytes = bucket.mem_max;
-    record.mean_store_size = bucket.store_sum / dn;
-    record.duplicates_dropped = bucket.duplicates;
-    record.bytes_saved_compression = bucket.bytes_saved;
-    record.round_time = SimTime{bucket.duration_sum.seconds / dn};
+    RoundRecord record = bucket.record(epoch);
+    record.round_time = SimTime{bucket.duration_sum.seconds /
+                                static_cast<double>(bucket.contributors)};
     // The time by which this epoch index was complete across all reporting
     // nodes. A slow node's late epoch e can outlast fast nodes' epoch e+1,
     // so take a running max to keep total_time()/time_to_reach() on a

@@ -34,10 +34,17 @@
 //
 // Determinism: all event processing at one timestamp is split into a
 // parallel math phase over per-node batches (nodes own disjoint state;
-// ThreadPool::parallel_shards) and a single-threaded scheduling phase that
-// visits nodes in id order — so event sequence numbers, RNG draws, and
-// therefore entire ExperimentResults are identical for a given seed
-// regardless of worker-thread count.
+// ThreadPool::parallel_shards runs each node's events in seq order, one
+// host call per event) and a single-threaded scheduling phase that visits
+// nodes in id order — so event sequence numbers, RNG draws, and therefore
+// entire ExperimentResults are identical for a given seed regardless of
+// worker-thread count.
+//
+// One path per job: both disciplines aggregate node epochs into a
+// RoundRecord through EpochBucket and answer queries through serve_query /
+// record_served. What differs is only the clock — the barrier's round time
+// (slowest node + one latency) versus the event engine's per-node
+// timelines.
 //
 // Scale: the queue is a bucketed calendar queue (O(1) amortized vs the
 // binary heap's O(log n), identical (time, seq) pop order — see
@@ -53,7 +60,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -399,14 +405,10 @@ class SimEngine {
   bool process_next_batch();
   /// Math side of one event (runs inside the parallel phase).
   void apply_event_math(const Event& event);
-  /// Math side of one node's whole batch group: runs of consecutive
-  /// kDeliver events collapse into a single host on_deliver_batch call
-  /// (one enclave entry per run); other events dispatch singly at their
-  /// exact sequential positions.
-  void apply_group_math(std::span<const Event* const> group);
   /// Engine-side half of one delivery: churn-drop check, the
-  /// Envelope::delivered verdict and receive accounting. Returns the envelope to hand to the host, or
-  /// nullptr when the delivery was dropped (receiver offline).
+  /// Envelope::delivered verdict and receive accounting. Returns the
+  /// envelope to hand to the host, or nullptr when the delivery was dropped
+  /// (receiver offline).
   net::Envelope* prepare_delivery(const Event& event);
   /// Post-math bookkeeping for a node that completed a protocol run at
   /// `start`: capture counters, stage times and queued shares; schedule the
@@ -425,6 +427,10 @@ class SimEngine {
   /// releases it at `now`. Only post_epoch may leave protocol shares in an
   /// outbox; any other producer is a bug this checks for.
   void flush_control(core::NodeId id, SimTime now);
+  /// Serial-phase close of a node that processed events at `now`:
+  /// post_epoch if it completed a protocol run, else flush_control; then
+  /// check_rejoin.
+  void finish_node(core::NodeId id, SimTime now);
   /// Rejoin completion sweep for one node: if its trusted side finished the
   /// re-attestation + resync exchange this batch, record the latency and
   /// restart its train timer.
@@ -434,25 +440,6 @@ class SimEngine {
   /// mid-run handshake left unattested and restart the handshake
   /// (DESIGN.md §8 "Re-attestation sweep").
   void run_reattest_sweep(SimTime now);
-
-  // ===== serving path (DESIGN.md §9) =====
-  /// Draws `node`'s next arrival (strictly after `after`) plus its user
-  /// pick from the node's serving RNG stream and schedules the kQuery.
-  /// Serial phase only.
-  void schedule_query(core::NodeId node, SimTime after);
-  /// Math side of one kQuery: offline drop check, top-k inference against
-  /// the node's current model, latency/staleness into the job slot.
-  void apply_query_math(const Event& event);
-  /// Serial side: per-node counters, the percentile estimators, slot
-  /// release, and — while non-query work remains queued — the next arrival
-  /// of this node's chain (the guard keeps N query chains from keeping
-  /// each other, or a finished run, alive).
-  void account_query(const Event& event);
-  /// Barrier mode: serves every pre-drawn arrival before `round_end` after
-  /// the round's math, walking nodes in id order (trivially deterministic).
-  /// The wait/staleness window comes from the per-node busy_until /
-  /// model_fresh_at stamps collect_round_record just wrote.
-  void run_barrier_queries(SimTime round_end);
 
   /// One in-flight query, slot-addressed through Event::slot. The arrival
   /// time and user pick are drawn at schedule time (serial phase); the math
@@ -467,6 +454,33 @@ class SimEngine {
     std::uint64_t epoch = 0;  // epoch stamp of the answer
     bool dropped = false;     // replica offline at arrival
   };
+
+  // ===== serving path (DESIGN.md §9) =====
+  /// Draws `node`'s next arrival (strictly after `after`) plus its user
+  /// pick from the node's serving RNG stream and schedules the kQuery.
+  /// Serial phase only.
+  void schedule_query(core::NodeId node, SimTime after);
+  /// The replica model, shared by both disciplines: maps `user_pick` onto
+  /// the node's local users, runs top-k against its current model and
+  /// returns the answer's latency (replica wait + scoring compute),
+  /// staleness and epoch stamp. Reads the node's busy_until /
+  /// model_fresh_at stamps; touches no other node.
+  [[nodiscard]] QueryJob serve_query(core::NodeId node, SimTime arrival,
+                                     std::uint64_t user_pick);
+  /// Counts one served answer: per-node served/stale counters and the
+  /// latency/staleness percentile samples. Serial phase only.
+  void record_served(NodeStatus& status, const QueryJob& job);
+  /// Math side of one kQuery: offline drop check, else serve_query into
+  /// the job slot.
+  void apply_query_math(const Event& event);
+  /// Serial side: per-node counters, the percentile estimators, slot
+  /// release, and — while non-query work remains queued — the next arrival
+  /// of this node's chain (the guard keeps N query chains from keeping
+  /// each other, or a finished run, alive).
+  void account_query(const Event& event);
+  /// Barrier mode: serves every pre-drawn arrival before `round_end` after
+  /// the round's math, walking nodes in id order (trivially deterministic).
+  void run_barrier_queries(SimTime round_end);
   /// Barrier mode's pre-drawn next arrival per node (the event queue is
   /// not used during rounds).
   struct PendingQuery {
@@ -481,7 +495,11 @@ class SimEngine {
     SimTime start;
     SimTime end;
   };
-  /// Per-epoch-index aggregation bucket for async records.
+  /// Node-epoch aggregation for one epoch index, shared by both
+  /// disciplines: a barrier round feeds its n nodes in id order, the event
+  /// engine each kTest as it fires; record() turns the sums into the
+  /// node-averaged RoundRecord. round_time and cumulative_time are left to
+  /// the caller — the one thing the disciplines disagree on.
   struct EpochBucket {
     std::size_t contributors = 0;
     /// Sum over contributors of the online fraction at their kTest time
@@ -498,8 +516,17 @@ class SimEngine {
     double store_sum = 0.0;
     std::uint64_t duplicates = 0;
     std::uint64_t bytes_saved = 0;  // wire bytes avoided by compression
-    SimTime duration_sum;
-    SimTime last_end;
+    SimTime duration_sum;  // event mode: sum of epoch durations
+    SimTime last_end;      // event mode: latest contributor's epoch end
+
+    /// Takes in one node's epoch: its counters, slowdown-scaled stage
+    /// times, wire bytes in+out, resident enclave memory and the online
+    /// fraction of the network when it was recorded.
+    void add(const core::EpochCounters& counters, const StageTimes& stages,
+             double bytes, double memory, double reachable);
+    /// The node-averaged record (epoch, nodes_reporting, every mean/min/max
+    /// column); round_time and cumulative_time stay zero.
+    [[nodiscard]] RoundRecord record(std::uint64_t epoch) const;
   };
 
   const core::RexConfig& rex_;

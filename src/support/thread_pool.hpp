@@ -3,18 +3,18 @@
 // The simulation parallelizes *across nodes that own disjoint state*
 // (DESIGN.md §4), so no ordering between concurrently executed indices is
 // ever required and results stay bitwise identical to serial execution.
-// Two primitives:
+// One batch mechanism, two entry points:
 //
-//   parallel_for     static block split — one contiguous chunk per worker.
-//                    Best when every index costs about the same (a barrier
-//                    round where all nodes do one epoch).
+//   parallel_shards  workers repeatedly claim the lowest unclaimed shard
+//                    from a shared cursor, so a straggler shard (an event
+//                    batch with an expensive node) does not idle the rest
+//                    of the pool. Used by the event engine for independent
+//                    per-node event batches at the same simulated timestamp.
 //
-//   parallel_shards  work-stealing dynamic split — workers claim the next
-//                    unclaimed shard from a shared cursor, so a straggler
-//                    shard (an event batch with an expensive node) does not
-//                    idle the rest of the pool. Used by the event engine for
-//                    independent per-node event batches at the same
-//                    simulated timestamp.
+//   parallel_for     the same claim loop over contiguous blocks of
+//                    ceil(n / workers) indices, one block per shard. Best
+//                    when every index costs about the same (a barrier round
+//                    where all nodes do one epoch).
 //
 // Both entry points are templates dispatching through a borrowed
 // (context, trampoline) pair instead of std::function: the event engine
@@ -25,8 +25,10 @@
 // by blocking until the batch completes.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -45,13 +47,19 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Runs fn(i) for i in [0, n), partitioned into contiguous blocks, one per
-  /// worker. Blocks until every call returned. Exceptions from `fn`
-  /// propagate to the caller (first one wins).
+  /// Runs fn(i) for i in [0, n), partitioned into contiguous blocks of
+  /// ceil(n / size()) indices; each block runs on one thread, in index
+  /// order. Blocks until every call returned. Exceptions from `fn`
+  /// propagate to the caller (first one wins; the rest of that block is
+  /// skipped).
   template <class F>
   void parallel_for(std::size_t n, F&& fn) {
-    run_blocks(n, &trampoline<F>, const_cast<void*>(
-                                      static_cast<const void*>(&fn)));
+    if (n == 0) return;
+    const std::size_t chunk = (n + size() - 1) / size();
+    parallel_shards((n + chunk - 1) / chunk, [&](std::size_t block) {
+      const std::size_t end = std::min(n, (block + 1) * chunk);
+      for (std::size_t i = block * chunk; i < end; ++i) fn(i);
+    });
   }
 
   /// Runs fn(i) for i in [0, n) with dynamic (work-stealing) scheduling:
@@ -75,14 +83,6 @@ class ThreadPool {
     (*static_cast<std::remove_reference_t<F>*>(ctx))(index);
   }
 
-  struct Task {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    IndexFn fn = nullptr;
-    void* ctx = nullptr;
-  };
-
-  void run_blocks(std::size_t n, IndexFn fn, void* ctx);
   void run_shards(std::size_t n, IndexFn fn, void* ctx);
   void worker_loop();
   void run_shard_batch();
@@ -91,14 +91,12 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable work_done_;
-  std::vector<Task> tasks_;        // one slot per worker (parallel_for)
-  std::size_t pending_ = 0;        // tasks not yet finished this batch
+  std::size_t pending_ = 0;        // shards not yet finished this batch
   std::size_t generation_ = 0;     // batch counter
   bool stopping_ = false;
   std::exception_ptr first_error_;
 
-  // parallel_shards state: a shared claim cursor instead of static blocks.
-  bool shard_mode_ = false;        // what the current batch runs
+  // The current batch: a shared claim cursor over shard_count_ shards.
   std::size_t shard_count_ = 0;
   std::size_t next_shard_ = 0;     // work-stealing cursor (guarded by mutex_)
   IndexFn shard_fn_ = nullptr;

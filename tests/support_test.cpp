@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "support/bytes.hpp"
@@ -240,6 +241,23 @@ TEST(ThreadPool, SingleThreadFallback) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, ParallelForRunsContiguousBlocksOnOneThread) {
+  // The partition is ceil(n / workers) contiguous indices per block; a
+  // block is one shard, so every index in it runs on the thread that
+  // claimed it.
+  ThreadPool pool(4);
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{10}}) {
+    std::vector<std::thread::id> ran_on(n);
+    pool.parallel_for(n, [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+    const std::size_t chunk = (n + 3) / 4;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(ran_on[i], ran_on[i - i % chunk]) << "n " << n << " i " << i;
+    }
+  }
 }
 
 TEST(ThreadPool, ShardsRunAllIndicesExactlyOnce) {
