@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -246,12 +247,14 @@ TEST(ThreadPool, SingleThreadFallback) {
 TEST(ThreadPool, ParallelForRunsContiguousBlocksOnOneThread) {
   // The partition is ceil(n / workers) contiguous indices per block; a
   // block is one shard, so every index in it runs on the thread that
-  // claimed it.
+  // claimed it. Each index sleeps so that idle workers would claim the
+  // next index if blocks were split.
   ThreadPool pool(4);
   for (const std::size_t n : {std::size_t{1000}, std::size_t{10}}) {
     std::vector<std::thread::id> ran_on(n);
     pool.parallel_for(n, [&](std::size_t i) {
       ran_on[i] = std::this_thread::get_id();
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
     });
     const std::size_t chunk = (n + 3) / 4;
     for (std::size_t i = 0; i < n; ++i) {
