@@ -127,10 +127,11 @@ Bytes TrustedNode::seal_framed(enclave::AttestationSession& session,
   const crypto::ChaChaNonce nonce = resync_plane
                                         ? session.resync_send_nonce_for(seq)
                                         : session.send_nonce_for(seq);
-  Bytes wire(sizeof seq);
+  Bytes wire(sizeof seq + plaintext.size() + crypto::kAeadTagSize);
   store_le64(wire.data(), seq);
-  append(wire, crypto::aead_seal(session.session_key(), nonce,
-                                 frame_aad(id_, peer), plaintext));
+  crypto::aead_seal_into(session.session_key(), nonce, frame_aad(id_, peer),
+                         plaintext,
+                         std::span<std::uint8_t>(wire).subspan(sizeof seq));
   return wire;
 }
 
@@ -140,6 +141,14 @@ bool TrustedNode::split_frame(BytesView blob, std::uint64_t& seq,
   seq = load_le64(blob.data());
   ciphertext = blob.subspan(sizeof(std::uint64_t));
   return true;
+}
+
+bool TrustedNode::open_frame(const crypto::ChaChaKey& key,
+                             const crypto::ChaChaNonce& nonce, BytesView aad,
+                             BytesView ciphertext, Bytes& plaintext) {
+  if (ciphertext.size() < crypto::kAeadTagSize) return false;
+  plaintext.resize(ciphertext.size() - crypto::kAeadTagSize);
+  return crypto::aead_open_into(key, nonce, aad, ciphertext, plaintext);
 }
 
 // ===== Rejoin (DESIGN.md §6) =====
@@ -250,15 +259,13 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
     }
     auto& sess = session(src);
     runtime_.record_crypto(blob.size());
-    std::optional<Bytes> opened =
-        crypto::aead_open(sess.session_key(), sess.resync_recv_nonce_for(seq),
-                          frame_aad(src, id_), ciphertext);
-    if (!opened.has_value() || !sess.accept_resync_recv_sequence(seq)) {
+    if (!open_frame(sess.session_key(), sess.resync_recv_nonce_for(seq),
+                    frame_aad(src, id_), ciphertext, input.plaintext) ||
+        !sess.accept_resync_recv_sequence(seq)) {
       ++resync_discarded_;
-      input_pool_.push_back(std::move(input));
+      recycle_input(std::move(input));
       return;
     }
-    input.plaintext = std::move(*opened);  // outlives this block's scope
     input.blob = ProtocolPayload::decode_view(input.plaintext, input.payload);
   } else {
     input.blob = ProtocolPayload::decode_view(blob, input.payload);
@@ -451,25 +458,27 @@ void TrustedNode::ecall_input(NodeId src, const SharedBytes& wire) {
     // Current session first, then the stale key a re-attestation left
     // behind — the message may have been sealed before the sender learned
     // of the rejoin. No session and no stale key = fail closed, as before.
-    std::optional<Bytes> opened;
+    // Both keys open into input.plaintext, which the AEAD writes only once
+    // the tag verifies.
+    bool opened = false;
     bool from_stale = false;
     if (sess.attested()) {
-      opened = crypto::aead_open(sess.session_key(), sess.recv_nonce_for(seq),
-                                 aad, ciphertext);
+      opened = open_frame(sess.session_key(), sess.recv_nonce_for(seq), aad,
+                          ciphertext, input.plaintext);
     }
-    if (!opened.has_value()) {
+    if (!opened) {
       const auto stale = stale_keys_.find(src);
       if (stale != stale_keys_.end()) {
         const crypto::ChaChaNonce nonce = crypto::nonce_from_sequence(
             seq, src < id_ ? 0u : 1u);  // same direction rule as the session
-        opened =
-            crypto::aead_open(stale->second.key, nonce, aad, ciphertext);
-        from_stale = opened.has_value();
+        opened = open_frame(stale->second.key, nonce, aad, ciphertext,
+                            input.plaintext);
+        from_stale = opened;
       }
     }
     REX_REQUIRE(sess.attested() || stale_keys_.count(src) != 0,
                 "protocol message from unattested peer");  // fail closed
-    if (!opened.has_value()) {
+    if (!opened) {
       // Once this pair's keys have rotated (a rejoin replaced the session),
       // an unopenable message is a churn race, not tampering: sealed under
       // a key more than one rotation old, or under a half-open handshake's
@@ -478,7 +487,7 @@ void TrustedNode::ecall_input(NodeId src, const SharedBytes& wire) {
       // any rotation the hard tamper failure stands.
       if (stale_keys_.count(src) != 0) {
         ++inputs_discarded_rekey_;
-        input_pool_.push_back(std::move(input));
+        recycle_input(std::move(input));
         return;
       }
       if (config_.tolerate_byzantine) {
@@ -486,10 +495,10 @@ void TrustedNode::ecall_input(NodeId src, const SharedBytes& wire) {
         // an unopenable payload *is* tampering — count and discard instead
         // of aborting, as a deployed node facing a malicious peer must.
         ++tampered_rejected_;
-        input_pool_.push_back(std::move(input));
+        recycle_input(std::move(input));
         return;
       }
-      REX_REQUIRE(opened.has_value(),
+      REX_REQUIRE(opened,
                   "authenticated decryption failed: tampered payload");
     }
     // Stream-level replay rejection: a position at or below the watermark
@@ -499,7 +508,7 @@ void TrustedNode::ecall_input(NodeId src, const SharedBytes& wire) {
       StaleKey& stale = stale_keys_.find(src)->second;
       if (config_.tolerate_byzantine && seq < stale.recv_sequence) {
         ++replays_rejected_;  // count-and-discard (DESIGN.md §8)
-        input_pool_.push_back(std::move(input));
+        recycle_input(std::move(input));
         return;
       }
       REX_REQUIRE(seq >= stale.recv_sequence, "replayed secure payload");
@@ -509,16 +518,17 @@ void TrustedNode::ecall_input(NodeId src, const SharedBytes& wire) {
       // called exactly once on either branch structure.
       if (!sess.accept_recv_sequence(seq)) {
         ++replays_rejected_;  // count-and-discard (DESIGN.md §8)
-        input_pool_.push_back(std::move(input));
+        recycle_input(std::move(input));
         return;
       }
     } else {
       REX_REQUIRE(sess.accept_recv_sequence(seq), "replayed secure payload");
     }
-    plaintext_size = opened->size();
-    input.blob = ProtocolPayload::decode_view(*opened, input.payload);
-    // Moving the vector keeps its storage, so the view stays valid.
-    if (!input.blob.empty()) input.plaintext = std::move(*opened);
+    plaintext_size = input.plaintext.size();
+    input.blob = ProtocolPayload::decode_view(input.plaintext, input.payload);
+    // A raw-data share decoded into payload.ratings: release the plaintext
+    // now rather than hold it while the input waits in its slot.
+    if (input.blob.empty()) input.plaintext = Bytes{};
   } else {
     // Native runs decode straight off the (shared, immutable) wire buffer;
     // a model share keeps a reference to it rather than a copy.

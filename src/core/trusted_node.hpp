@@ -276,6 +276,12 @@ class TrustedNode {
   /// Splits a framed blob into (seq, ciphertext); false = truncated.
   [[nodiscard]] static bool split_frame(BytesView blob, std::uint64_t& seq,
                                         BytesView& ciphertext);
+  /// Opens a frame's `ciphertext` into `plaintext`, sized exactly to the
+  /// message; false when it does not authenticate under (key, nonce).
+  [[nodiscard]] static bool open_frame(const crypto::ChaChaKey& key,
+                                       const crypto::ChaChaNonce& nonce,
+                                       BytesView aad, BytesView ciphertext,
+                                       Bytes& plaintext);
 
   RexConfig config_;
   NodeId id_;

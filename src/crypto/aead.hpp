@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "crypto/chacha20.hpp"
 #include "crypto/poly1305.hpp"
@@ -17,13 +18,28 @@ namespace rex::crypto {
 inline constexpr std::size_t kAeadTagSize = kPolyTagSize;
 inline constexpr std::size_t kAeadOverhead = kAeadTagSize;
 
-/// Encrypts `plaintext`, authenticating `aad` too. Output layout:
+/// Encrypts `plaintext`, authenticating `aad` too, into `out`, which must
+/// hold exactly plaintext.size() + kAeadTagSize bytes. Output layout:
 /// ciphertext || 16-byte tag.
+void aead_seal_into(const ChaChaKey& key, const ChaChaNonce& nonce,
+                    BytesView aad, BytesView plaintext,
+                    std::span<std::uint8_t> out);
+
+/// Verifies `sealed` and, only if it authenticates, decrypts it into `out`,
+/// which must hold exactly sealed.size() - kAeadTagSize bytes. Returns false
+/// (leaving `out` untouched) on authentication failure — wrong
+/// key/nonce/aad, tampered ciphertext, or `sealed` shorter than a tag.
+[[nodiscard]] bool aead_open_into(const ChaChaKey& key,
+                                  const ChaChaNonce& nonce, BytesView aad,
+                                  BytesView sealed,
+                                  std::span<std::uint8_t> out);
+
+/// aead_seal_into returning a fresh buffer.
 [[nodiscard]] Bytes aead_seal(const ChaChaKey& key, const ChaChaNonce& nonce,
                               BytesView aad, BytesView plaintext);
 
-/// Verifies and decrypts. Returns nullopt on authentication failure (wrong
-/// key/nonce/aad or tampered ciphertext).
+/// aead_open_into returning a fresh buffer; nullopt on authentication
+/// failure.
 [[nodiscard]] std::optional<Bytes> aead_open(const ChaChaKey& key,
                                              const ChaChaNonce& nonce,
                                              BytesView aad, BytesView sealed);

@@ -4,157 +4,142 @@
 
 namespace rex::crypto {
 
-// 26-bit limb implementation (five limbs of r, h), following the widely-used
-// public-domain layout (Floodyberry's poly1305-donna).
-PolyTag poly1305(const PolyKey& key, BytesView data) {
+// 44-bit limb layout (h = h0 + h1*2^44 + h2*2^88), following the
+// public-domain 64-bit poly1305-donna.
+
+namespace {
+
+using u128 = unsigned __int128;
+
+constexpr std::uint64_t kMask44 = 0xfffffffffff;
+constexpr std::uint64_t kMask42 = 0x3ffffffffff;
+constexpr std::uint64_t kHibit = std::uint64_t{1} << 40;  // 2^128 in h2
+
+}  // namespace
+
+Poly1305::Poly1305(const PolyKey& key) {
   // r is clamped per the RFC.
-  const std::uint32_t r0 = load_le32(key.data() + 0) & 0x3ffffff;
-  const std::uint32_t r1 = (load_le32(key.data() + 3) >> 2) & 0x3ffff03;
-  const std::uint32_t r2 = (load_le32(key.data() + 6) >> 4) & 0x3ffc0ff;
-  const std::uint32_t r3 = (load_le32(key.data() + 9) >> 6) & 0x3f03fff;
-  const std::uint32_t r4 = (load_le32(key.data() + 12) >> 8) & 0x00fffff;
+  const std::uint64_t t0 = load_le64(key.data() + 0);
+  const std::uint64_t t1 = load_le64(key.data() + 8);
+  r0_ = t0 & 0xffc0fffffff;
+  r1_ = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r2_ = (t1 >> 24) & 0x00ffffffc0f;
+  s1_ = r1_ * (5 << 2);
+  s2_ = r2_ * (5 << 2);
+  pad0_ = load_le64(key.data() + 16);
+  pad1_ = load_le64(key.data() + 24);
+}
 
-  const std::uint32_t s1 = r1 * 5;
-  const std::uint32_t s2 = r2 * 5;
-  const std::uint32_t s3 = r3 * 5;
-  const std::uint32_t s4 = r4 * 5;
-
-  std::uint32_t h0 = 0, h1 = 0, h2 = 0, h3 = 0, h4 = 0;
-
-  std::size_t offset = 0;
-  std::size_t remaining = data.size();
-  while (remaining > 0) {
-    std::uint8_t block[17] = {};
-    const std::size_t take = std::min<std::size_t>(16, remaining);
-    std::memcpy(block, data.data() + offset, take);
-    block[take] = 1;  // append the 2^(8*take) bit
-
-    const std::uint32_t t0 = load_le32(block + 0);
-    const std::uint32_t t1 = load_le32(block + 4);
-    const std::uint32_t t2 = load_le32(block + 8);
-    const std::uint32_t t3 = load_le32(block + 12);
-    const std::uint32_t t4 = block[16];
-
-    h0 += t0 & 0x3ffffff;
-    h1 += static_cast<std::uint32_t>(
-              ((std::uint64_t{t1} << 32 | t0) >> 26)) & 0x3ffffff;
-    h2 += static_cast<std::uint32_t>(
-              ((std::uint64_t{t2} << 32 | t1) >> 20)) & 0x3ffffff;
-    h3 += static_cast<std::uint32_t>(
-              ((std::uint64_t{t3} << 32 | t2) >> 14)) & 0x3ffffff;
-    h4 += static_cast<std::uint32_t>(
-              ((std::uint64_t{t4} << 32 | t3) >> 8));
+void Poly1305::blocks(const std::uint8_t* m, std::size_t n_blocks,
+                      std::uint64_t hibit) {
+  std::uint64_t h0 = h0_, h1 = h1_, h2 = h2_;
+  for (; n_blocks > 0; --n_blocks, m += 16) {
+    const std::uint64_t t0 = load_le64(m);
+    const std::uint64_t t1 = load_le64(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
 
     // h *= r (mod 2^130 - 5)
-    const std::uint64_t d0 = static_cast<std::uint64_t>(h0) * r0 +
-                             static_cast<std::uint64_t>(h1) * s4 +
-                             static_cast<std::uint64_t>(h2) * s3 +
-                             static_cast<std::uint64_t>(h3) * s2 +
-                             static_cast<std::uint64_t>(h4) * s1;
-    std::uint64_t d1 = static_cast<std::uint64_t>(h0) * r1 +
-                       static_cast<std::uint64_t>(h1) * r0 +
-                       static_cast<std::uint64_t>(h2) * s4 +
-                       static_cast<std::uint64_t>(h3) * s3 +
-                       static_cast<std::uint64_t>(h4) * s2;
-    std::uint64_t d2 = static_cast<std::uint64_t>(h0) * r2 +
-                       static_cast<std::uint64_t>(h1) * r1 +
-                       static_cast<std::uint64_t>(h2) * r0 +
-                       static_cast<std::uint64_t>(h3) * s4 +
-                       static_cast<std::uint64_t>(h4) * s3;
-    std::uint64_t d3 = static_cast<std::uint64_t>(h0) * r3 +
-                       static_cast<std::uint64_t>(h1) * r2 +
-                       static_cast<std::uint64_t>(h2) * r1 +
-                       static_cast<std::uint64_t>(h3) * r0 +
-                       static_cast<std::uint64_t>(h4) * s4;
-    std::uint64_t d4 = static_cast<std::uint64_t>(h0) * r4 +
-                       static_cast<std::uint64_t>(h1) * r3 +
-                       static_cast<std::uint64_t>(h2) * r2 +
-                       static_cast<std::uint64_t>(h3) * r1 +
-                       static_cast<std::uint64_t>(h4) * r0;
+    const u128 d0 = u128{h0} * r0_ + u128{h1} * s2_ + u128{h2} * s1_;
+    u128 d1 = u128{h0} * r1_ + u128{h1} * r0_ + u128{h2} * s2_;
+    u128 d2 = u128{h0} * r2_ + u128{h1} * r1_ + u128{h2} * r0_;
 
-    // Carry propagation.
-    std::uint32_t carry = static_cast<std::uint32_t>(d0 >> 26);
-    h0 = static_cast<std::uint32_t>(d0) & 0x3ffffff;
-    d1 += carry;
-    carry = static_cast<std::uint32_t>(d1 >> 26);
-    h1 = static_cast<std::uint32_t>(d1) & 0x3ffffff;
-    d2 += carry;
-    carry = static_cast<std::uint32_t>(d2 >> 26);
-    h2 = static_cast<std::uint32_t>(d2) & 0x3ffffff;
-    d3 += carry;
-    carry = static_cast<std::uint32_t>(d3 >> 26);
-    h3 = static_cast<std::uint32_t>(d3) & 0x3ffffff;
-    d4 += carry;
-    carry = static_cast<std::uint32_t>(d4 >> 26);
-    h4 = static_cast<std::uint32_t>(d4) & 0x3ffffff;
-    h0 += carry * 5;
-    carry = h0 >> 26;
-    h0 &= 0x3ffffff;
-    h1 += carry;
+    // Partial carry propagation.
+    std::uint64_t c = static_cast<std::uint64_t>(d0 >> 44);
+    h0 = static_cast<std::uint64_t>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<std::uint64_t>(d1 >> 44);
+    h1 = static_cast<std::uint64_t>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<std::uint64_t>(d2 >> 42);
+    h2 = static_cast<std::uint64_t>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+    h1 += c;
+  }
+  h0_ = h0;
+  h1_ = h1;
+  h2_ = h2;
+}
 
-    offset += take;
-    remaining -= take;
+void Poly1305::update_padded(BytesView data) {
+  const std::size_t whole = data.size() / 16;
+  blocks(data.data(), whole, kHibit);
+  const std::size_t rest = data.size() % 16;
+  if (rest > 0) {
+    std::uint8_t block[16] = {};
+    std::memcpy(block, data.data() + whole * 16, rest);
+    blocks(block, 1, kHibit);
+  }
+}
+
+PolyTag Poly1305::finish(BytesView data) {
+  const std::size_t whole = data.size() / 16;
+  blocks(data.data(), whole, kHibit);
+  const std::size_t rest = data.size() % 16;
+  if (rest > 0) {
+    // The 2^(8*rest) bit is the 0x01 terminator byte, not the hibit.
+    std::uint8_t block[16] = {};
+    std::memcpy(block, data.data() + whole * 16, rest);
+    block[rest] = 1;
+    blocks(block, 1, 0);
   }
 
   // Full carry and reduction mod 2^130 - 5.
-  std::uint32_t carry = h1 >> 26;
-  h1 &= 0x3ffffff;
-  h2 += carry;
-  carry = h2 >> 26;
-  h2 &= 0x3ffffff;
-  h3 += carry;
-  carry = h3 >> 26;
-  h3 &= 0x3ffffff;
-  h4 += carry;
-  carry = h4 >> 26;
-  h4 &= 0x3ffffff;
-  h0 += carry * 5;
-  carry = h0 >> 26;
-  h0 &= 0x3ffffff;
-  h1 += carry;
+  std::uint64_t h0 = h0_, h1 = h1_, h2 = h2_;
+  std::uint64_t c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += c;
+  c = h2 >> 42;
+  h2 &= kMask42;
+  h0 += c * 5;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += c;
+  c = h2 >> 42;
+  h2 &= kMask42;
+  h0 += c * 5;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += c;
 
   // Compute h + -p and select.
-  std::uint32_t g0 = h0 + 5;
-  carry = g0 >> 26;
-  g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + carry;
-  carry = g1 >> 26;
-  g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + carry;
-  carry = g2 >> 26;
-  g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + carry;
-  carry = g3 >> 26;
-  g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + carry - (1u << 26);
+  std::uint64_t g0 = h0 + 5;
+  c = g0 >> 44;
+  g0 &= kMask44;
+  std::uint64_t g1 = h1 + c;
+  c = g1 >> 44;
+  g1 &= kMask44;
+  const std::uint64_t g2 = h2 + c - (std::uint64_t{1} << 42);
 
-  const std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
+  const std::uint64_t mask = (g2 >> 63) - 1;  // all-ones if h >= p
   h0 = (h0 & ~mask) | (g0 & mask);
   h1 = (h1 & ~mask) | (g1 & mask);
   h2 = (h2 & ~mask) | (g2 & mask);
-  h3 = (h3 & ~mask) | (g3 & mask);
-  h4 = (h4 & ~mask) | (g4 & mask);
 
-  // Serialize h and add s (the second key half) mod 2^128.
-  const std::uint64_t f0 =
-      (std::uint64_t{h0} | (std::uint64_t{h1} << 26)) & 0xffffffffULL;
-  const std::uint64_t f1 =
-      ((std::uint64_t{h1} >> 6) | (std::uint64_t{h2} << 20)) & 0xffffffffULL;
-  const std::uint64_t f2 =
-      ((std::uint64_t{h2} >> 12) | (std::uint64_t{h3} << 14)) & 0xffffffffULL;
-  const std::uint64_t f3 =
-      ((std::uint64_t{h3} >> 18) | (std::uint64_t{h4} << 8)) & 0xffffffffULL;
+  // Add s (the second key half) mod 2^128.
+  h0 += pad0_ & kMask44;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += (((pad0_ >> 44) | (pad1_ << 20)) & kMask44) + c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += ((pad1_ >> 24) & kMask42) + c;
+  h2 &= kMask42;
 
-  std::uint64_t acc = f0 + load_le32(key.data() + 16);
   PolyTag tag;
-  store_le32(tag.data() + 0, static_cast<std::uint32_t>(acc));
-  acc = f1 + load_le32(key.data() + 20) + (acc >> 32);
-  store_le32(tag.data() + 4, static_cast<std::uint32_t>(acc));
-  acc = f2 + load_le32(key.data() + 24) + (acc >> 32);
-  store_le32(tag.data() + 8, static_cast<std::uint32_t>(acc));
-  acc = f3 + load_le32(key.data() + 28) + (acc >> 32);
-  store_le32(tag.data() + 12, static_cast<std::uint32_t>(acc));
+  store_le64(tag.data() + 0, h0 | (h1 << 44));
+  store_le64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
+}
+
+PolyTag poly1305(const PolyKey& key, BytesView data) {
+  return Poly1305(key).finish(data);
 }
 
 }  // namespace rex::crypto

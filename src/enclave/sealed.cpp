@@ -21,9 +21,10 @@ Bytes SealingKey::seal(BytesView plaintext, std::uint64_t nonce_counter) const {
   // Direction tag 0x5EA1 keeps sealing nonces disjoint from channel nonces.
   const crypto::ChaChaNonce nonce =
       crypto::nonce_from_sequence(nonce_counter, /*direction=*/0x5EA1);
-  Bytes out(nonce.begin(), nonce.end());
-  append(out, crypto::aead_seal(key_, nonce, to_bytes("rex-sealed"),
-                                plaintext));
+  Bytes out(nonce.size() + plaintext.size() + crypto::kAeadTagSize);
+  std::memcpy(out.data(), nonce.data(), nonce.size());
+  crypto::aead_seal_into(key_, nonce, to_bytes("rex-sealed"), plaintext,
+                         std::span<std::uint8_t>(out).subspan(nonce.size()));
   return out;
 }
 
@@ -34,8 +35,12 @@ std::optional<Bytes> SealingKey::unseal(BytesView sealed) const {
   crypto::ChaChaNonce nonce;
   std::copy(sealed.begin(),
             sealed.begin() + static_cast<long>(nonce.size()), nonce.begin());
-  return crypto::aead_open(key_, nonce, to_bytes("rex-sealed"),
-                           sealed.subspan(nonce.size()));
+  Bytes out(sealed.size() - nonce.size() - crypto::kAeadTagSize);
+  if (!crypto::aead_open_into(key_, nonce, to_bytes("rex-sealed"),
+                              sealed.subspan(nonce.size()), out)) {
+    return std::nullopt;
+  }
+  return out;
 }
 
 }  // namespace rex::enclave

@@ -136,33 +136,31 @@ void SimEngine::run_attestation() {
               "non-attestation event before initialize()");
     --non_query_queued_;
     ++events_processed_;
-    transport_.flush_round();
-    bool any_delivered = false;
-    for (core::NodeId id = 0; id < n; ++id) {
-      transport_.drain_inbox(id, drain_scratch_);
-      for (const net::Envelope& env : drain_scratch_) {
-        hosts_[id].on_deliver(env);
-        any_delivered = true;
-      }
-      drain_scratch_.clear();  // release payload refs before the next drain
-    }
+    const bool any_delivered = deliver_attestation_step();
     ++attestation_rounds_;
     if (any_delivered && attestation_rounds_ < kMaxSteps) {
       schedule(clock_, 0, EventKind::kAttestStep);
     }
   }
-  transport_.flush_round();  // deliver stragglers of the final step
-  for (core::NodeId id = 0; id < n; ++id) {
-    transport_.drain_inbox(id, drain_scratch_);
-    for (const net::Envelope& env : drain_scratch_) {
-      hosts_[id].on_deliver(env);
-    }
-    drain_scratch_.clear();
-  }
+  (void)deliver_attestation_step();  // stragglers of the final step
   for (core::NodeId id = 0; id < n; ++id) {
     REX_REQUIRE(hosts_[id].trusted().fully_attested(),
                 "mutual attestation failed for node " + std::to_string(id));
   }
+}
+
+bool SimEngine::deliver_attestation_step() {
+  transport_.flush_round();
+  bool any_delivered = false;
+  for (core::NodeId id = 0; id < hosts_.size(); ++id) {
+    transport_.drain_inbox(id, drain_scratch_);
+    for (const net::Envelope& env : drain_scratch_) {
+      hosts_[id].on_deliver(env);
+      any_delivered = true;
+    }
+    drain_scratch_.clear();  // release payload refs before the next drain
+  }
+  return any_delivered;
 }
 
 // ===== Epoch 0 =====
@@ -304,7 +302,6 @@ void SimEngine::collect_round_record() {
       NodeStatus& status = nodes_[id];
       status.busy_until = round_start + stages.total();
       status.model_fresh_at = status.busy_until;
-      status.model_epoch = host.trusted().epochs_completed();
     }
     slowest = std::max(slowest, stages.total());
     // Nodes never churn in barrier mode: every node is reachable.
@@ -469,7 +466,6 @@ void SimEngine::serial_event_hook(const Event& event) {
         // The model this record describes is what queries arriving from
         // here on are answered with (DESIGN.md §9).
         nodes_[event.node].model_fresh_at = pe.end;
-        nodes_[event.node].model_epoch = pe.counters.epoch;
       }
 
       const std::size_t epoch = static_cast<std::size_t>(pe.counters.epoch);
@@ -758,8 +754,7 @@ SimEngine::QueryJob SimEngine::serve_query(core::NodeId node, SimTime arrival,
   // the partial-sort select actually run (this is the wall-clock hot path
   // bench_serving measures), even though the simulated service time below
   // comes from the cost model.
-  const core::TrustedNode::QueryAnswer answer =
-      trusted.query_topk(user, query_load_.config().top_k);
+  (void)trusted.query_topk(user, query_load_.config().top_k);
   const SimTime compute = cost_model_.query_time(
       ml::TopKIndex::flops_per_query(trusted.model()), status.slowdown);
   // Open-loop replica model: a query arriving while the node is mid-epoch
@@ -773,13 +768,9 @@ SimEngine::QueryJob SimEngine::serve_query(core::NodeId node, SimTime arrival,
   QueryJob job;
   job.user_pick = user_pick;
   job.latency_s = wait + compute.seconds;
-  if (wait > 0.0) {
-    job.staleness_s = 0.0;
-    job.epoch = answer.epoch;
-  } else {
-    job.staleness_s = std::max(0.0, (arrival - status.model_fresh_at).seconds);
-    job.epoch = status.model_epoch;
-  }
+  job.staleness_s =
+      wait > 0.0 ? 0.0
+                 : std::max(0.0, (arrival - status.model_fresh_at).seconds);
   return job;
 }
 

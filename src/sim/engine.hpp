@@ -229,8 +229,6 @@ class SimEngine {
     /// When the node's current model became current (its last recorded
     /// epoch end) — the staleness zero point served to queries.
     SimTime model_fresh_at;
-    /// Epoch of that model (the epoch stamp on non-waiting answers).
-    std::uint64_t model_epoch = 0;
   };
 
   /// Per-undirected-edge delivery counters, kept only when the LinkModel is
@@ -394,6 +392,10 @@ class SimEngine {
   /// below-target counter run_epochs spins on.
   void note_epochs_done(core::NodeId id, std::uint64_t count);
   void collect_round_record();
+  /// One attestation delivery step: flushes the round and hands every
+  /// node's inbox to its host, in node-id order. True if anything was
+  /// delivered.
+  bool deliver_attestation_step();
 
   // ===== barrier mode =====
   void run_barrier_round();
@@ -451,7 +453,6 @@ class SimEngine {
     std::uint64_t user_pick = 0;
     double latency_s = 0.0;
     double staleness_s = 0.0;
-    std::uint64_t epoch = 0;  // epoch stamp of the answer
     bool dropped = false;     // replica offline at arrival
   };
 
@@ -462,8 +463,8 @@ class SimEngine {
   void schedule_query(core::NodeId node, SimTime after);
   /// The replica model, shared by both disciplines: maps `user_pick` onto
   /// the node's local users, runs top-k against its current model and
-  /// returns the answer's latency (replica wait + scoring compute),
-  /// staleness and epoch stamp. Reads the node's busy_until /
+  /// returns the answer's latency (replica wait + scoring compute) and
+  /// staleness. Reads the node's busy_until /
   /// model_fresh_at stamps; touches no other node.
   [[nodiscard]] QueryJob serve_query(core::NodeId node, SimTime arrival,
                                      std::uint64_t user_pick);

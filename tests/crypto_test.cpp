@@ -4,10 +4,15 @@
 //  - HKDF: RFC 5869
 //  - ChaCha20, Poly1305, AEAD: RFC 8439
 //  - X25519: RFC 7748
-// plus property tests (round-trips, tamper detection, DH commutativity).
+// plus property tests (round-trips, tamper detection, DH commutativity),
+// and the multi-block ChaCha20-Poly1305 kernels checked on every backend
+// against the frozen one-block reference in aead_reference.hpp.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
+
+#include "aead_reference.hpp"
 
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
@@ -16,6 +21,7 @@
 #include "crypto/poly1305.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
+#include "linalg/simd_kernels.hpp"
 #include "support/bytes.hpp"
 
 namespace rex::crypto {
@@ -259,6 +265,199 @@ TEST(Aead, RejectsTooShortCiphertext) {
   Drbg drbg(4);
   const ChaChaKey key = drbg.next_key();
   EXPECT_FALSE(aead_open(key, ChaChaNonce{}, {}, Bytes(7)).has_value());
+}
+
+// ===== Multi-block kernels vs the frozen reference =====
+
+using linalg::simd::Backend;
+
+/// Every backend this CPU runs: the scalar escape hatch always, AVX2 where
+/// supported (whatever the environment dispatched).
+std::vector<Backend> crypto_backends() {
+  std::vector<Backend> backends{Backend::kScalar};
+#if defined(__x86_64__) || defined(_M_X64)
+  if (__builtin_cpu_supports("avx2")) backends.push_back(Backend::kAvx2);
+#endif
+  return backends;
+}
+
+/// Runs `check` once per backend, forced through set_backend, and restores
+/// the dispatched backend even when an assertion returns early.
+template <class Check>
+void for_each_backend(Check&& check) {
+  struct Restore {
+    Backend dispatched = linalg::simd::active_backend();
+    ~Restore() { linalg::simd::set_backend(dispatched); }
+  } restore;
+  for (const Backend backend : crypto_backends()) {
+    linalg::simd::set_backend(backend);
+    SCOPED_TRACE(linalg::simd::backend_name(backend));
+    check();
+  }
+}
+
+/// Plaintext lengths 0-1100, plus every length within 70 bytes of a
+/// multiple of 256 (so also of 512, the AVX2 stride) up to 8 KiB.
+std::vector<std::size_t> sweep_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  for (std::size_t m = 256 * 5; m <= 8192; m += 256) {
+    for (std::size_t n = m - 70; n <= std::min<std::size_t>(m + 70, 8192);
+         ++n) {
+      if (n > lengths.back()) lengths.push_back(n);
+    }
+  }
+  return lengths;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Drbg drbg(seed);
+  return drbg.generate(n);
+}
+
+TEST(AeadKernels, SealOpenMatchReferenceAcrossLengths) {
+  const ChaChaKey key = Drbg(11).next_key();
+  const Bytes source = random_bytes(8192 + 64, 12);
+  const Bytes aad_source = random_bytes(40, 13);
+  const std::vector<std::size_t> lengths = sweep_lengths();
+  for_each_backend([&] {
+    for (const std::size_t n : lengths) {
+      const BytesView plaintext(source.data() + n % 61, n);
+      const BytesView aad(aad_source.data(), n % 41);
+      const ChaChaNonce nonce = nonce_from_sequence(n, 1);
+      Bytes sealed(n + kAeadTagSize);
+      aead_seal_into(key, nonce, aad, plaintext, sealed);
+      ASSERT_EQ(sealed, reference::aead_seal(key, nonce, aad, plaintext))
+          << "length " << n;
+      Bytes opened(n, 0xEE);
+      ASSERT_TRUE(aead_open_into(key, nonce, aad, sealed, opened)) << n;
+      ASSERT_TRUE(std::equal(opened.begin(), opened.end(), plaintext.begin()))
+          << "length " << n;
+      // The one-shot MAC (a short final block, no pad16) on the same lengths.
+      PolyKey pk{};
+      std::copy_n(key.begin(), pk.size(), pk.begin());
+      ASSERT_EQ(poly1305(pk, plaintext), reference::poly1305(pk, plaintext))
+          << "length " << n;
+    }
+  });
+}
+
+TEST(AeadKernels, AadLengthsMatchReference) {
+  const ChaChaKey key = Drbg(21).next_key();
+  const Bytes source = random_bytes(1100, 22);
+  const Bytes aad_source = random_bytes(40, 23);
+  for_each_backend([&] {
+    for (std::size_t a = 0; a <= 40; ++a) {
+      for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 64u, 511u, 513u,
+                                  1100u}) {
+        const BytesView plaintext(source.data(), n);
+        const BytesView aad(aad_source.data(), a);
+        const ChaChaNonce nonce = nonce_from_sequence(a * 4096 + n, 0);
+        Bytes sealed(n + kAeadTagSize);
+        aead_seal_into(key, nonce, aad, plaintext, sealed);
+        ASSERT_EQ(sealed, reference::aead_seal(key, nonce, aad, plaintext))
+            << "aad " << a << " length " << n;
+      }
+    }
+  });
+}
+
+TEST(ChaCha20Kernels, CounterWrapsLikeReference) {
+  const ChaChaKey key = Drbg(31).next_key();
+  const ChaChaNonce nonce = nonce_from_sequence(7, 1);
+  // 17 blocks + 5 bytes: two AVX2 strides' worth of wrap positions, then
+  // the portable tail.
+  const Bytes data = random_bytes(64 * 17 + 5, 32);
+  for_each_backend([&] {
+    for (std::uint32_t counter = 0xFFFFFFF8u;; ++counter) {
+      const Bytes expected =
+          reference::chacha20_xor(key, nonce, counter, data);
+      ASSERT_EQ(chacha20_xor(key, nonce, counter, data), expected)
+          << "initial counter " << counter;
+      Bytes in_place = data;  // out may alias data exactly
+      chacha20_xor_into(key, nonce, counter, in_place, in_place);
+      ASSERT_EQ(in_place, expected) << "initial counter " << counter;
+      if (counter == 0xFFFFFFFFu) break;
+    }
+  });
+}
+
+TEST(AeadKernels, OpenIntoRejectsOneBitFlips) {
+  const ChaChaKey key = Drbg(41).next_key();
+  const ChaChaNonce nonce = nonce_from_sequence(3, 0);
+  const Bytes aad = random_bytes(13, 42);
+  // 1000 bytes: one full 512-byte AVX2 stride, then a portable tail whose
+  // last Poly1305 block is short.
+  const Bytes plaintext = random_bytes(1000, 43);
+  const Bytes sealed = aead_seal(key, nonce, aad, plaintext);
+  struct Flip {
+    const char* where;
+    bool in_aad;
+    std::size_t byte;
+  };
+  const Flip flips[] = {
+      {"aad", true, 5},
+      {"body", false, 100},
+      {"tail block", false, plaintext.size() - 1},
+      {"tag", false, sealed.size() - 3},
+  };
+  for_each_backend([&] {
+    for (const Flip& flip : flips) {
+      Bytes bad_aad = aad;
+      Bytes bad_sealed = sealed;
+      (flip.in_aad ? bad_aad : bad_sealed)[flip.byte] ^= 0x10;
+      Bytes out(plaintext.size(), 0xEE);
+      EXPECT_FALSE(aead_open_into(key, nonce, bad_aad, bad_sealed, out))
+          << flip.where;
+      EXPECT_EQ(out, Bytes(plaintext.size(), 0xEE))
+          << flip.where << ": a rejected open must not write";
+    }
+    Bytes out(plaintext.size());
+    EXPECT_TRUE(aead_open_into(key, nonce, aad, sealed, out));
+    EXPECT_EQ(out, plaintext);
+  });
+}
+
+TEST(AeadKernels, Rfc8439VectorsThroughIntoApi) {
+  const std::string sunscreen =
+      "Ladies and Gentlemen of the class of '99: If I could offer you "
+      "only one tip for the future, sunscreen would be it.";
+  const Bytes plaintext = to_bytes(sunscreen);
+  const auto chacha_key = array_from_hex<32>(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  const auto chacha_nonce = array_from_hex<12>("000000000000004a00000000");
+  const auto aead_key = array_from_hex<32>(
+      "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f");
+  const auto aead_nonce = array_from_hex<12>("070000004041424344454647");
+  const Bytes aad = hex_decode("50515253c0c1c2c3c4c5c6c7");
+  for_each_backend([&] {
+    // §2.4.2: ChaCha20 encryption.
+    Bytes ct(plaintext.size());
+    chacha20_xor_into(chacha_key, chacha_nonce, 1, plaintext, ct);
+    EXPECT_EQ(hex_encode(ct),
+              "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+              "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+              "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+              "5af90bbf74a35be6b40b8eedf2785e42874d");
+    // §2.8.2: the AEAD, ciphertext and tag.
+    Bytes sealed(plaintext.size() + kAeadTagSize);
+    aead_seal_into(aead_key, aead_nonce, aad, plaintext, sealed);
+    EXPECT_EQ(hex_encode(sealed),
+              "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+              "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+              "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+              "3ff4def08e4b7a9de576d26586cec64b6116"
+              "1ae10b594f09e26a7e902ecbd0600691");
+    Bytes opened(plaintext.size());
+    ASSERT_TRUE(aead_open_into(aead_key, aead_nonce, aad, sealed, opened));
+    EXPECT_EQ(to_string(opened), sunscreen);
+  });
+}
+
+TEST(AeadKernels, OpenIntoRejectsShortInput) {
+  const ChaChaKey key = Drbg(51).next_key();
+  Bytes out;
+  EXPECT_FALSE(aead_open_into(key, ChaChaNonce{}, {}, Bytes(15), out));
 }
 
 TEST(Aead, NonceFromSequenceUnique) {
