@@ -587,12 +587,15 @@ void write_estimators(const SimEngine& engine, const std::string& path) {
   row("staleness", engine.query_staleness());
 }
 
-/// Runs `scenario` with test_load() and compares four dumps against
+/// Runs `scenario` under `load` and compares four dumps against
 /// `<cell>_{rounds,nodes,records,queries}.csv`: write_csv, write_node_csv
 /// (per-node query counters included), every RoundRecord field and the
-/// query estimators at full precision.
-void expect_serving_on_golden(Scenario scenario, const std::string& cell) {
-  scenario.query_load = test_load();
+/// query estimators at full precision. Returns the number of queries served.
+std::uint64_t expect_serving_on_golden(Scenario scenario,
+                                       const std::string& cell,
+                                       const QueryLoadConfig& load =
+                                           test_load()) {
+  scenario.query_load = load;
   ScenarioInputs inputs;
   Simulator simulator = make_scenario_simulator(scenario, inputs);
   simulator.run(scenario.epochs);
@@ -604,7 +607,8 @@ void expect_serving_on_golden(Scenario scenario, const std::string& cell) {
   write_node_csv(simulator.engine(), fresh("_nodes.csv"));
   write_records_full_precision(simulator.result(), fresh("_records.csv"));
   write_estimators(simulator.engine(), fresh("_queries.csv"));
-  EXPECT_GT(simulator.engine().query_totals().served, 0u);
+  const std::uint64_t served = simulator.engine().query_totals().served;
+  EXPECT_GT(served, 0u);
   const char* const suffixes[] = {"_rounds.csv", "_nodes.csv",
                                   "_records.csv", "_queries.csv"};
   for (const char* suffix : suffixes) {
@@ -612,9 +616,10 @@ void expect_serving_on_golden(Scenario scenario, const std::string& cell) {
   }
   if (::testing::Test::HasFailure()) {
     ADD_FAILURE() << "fresh dumps kept at " << fresh("_*.csv");
-    return;
+    return served;
   }
   for (const char* suffix : suffixes) std::filesystem::remove(fresh(suffix));
+  return served;
 }
 
 TEST(ServingOnGolden, BarrierDpsgd) {
@@ -623,6 +628,17 @@ TEST(ServingOnGolden, BarrierDpsgd) {
 
 TEST(ServingOnGolden, EventChurn) {
   expect_serving_on_golden(churn_scenario(), "serving_on_event_churn");
+}
+
+// test_load() serves only a few dozen queries per run, so p99 and p999
+// equal the maximum. This cell serves thousands, which pins the estimators'
+// tail buckets and interleaves kQuery with every other event kind.
+TEST(ServingOnGolden, EventChurnDense) {
+  QueryLoadConfig load = test_load();
+  load.rate_hz = 2'000'000.0;
+  const std::uint64_t served = expect_serving_on_golden(
+      churn_scenario(), "serving_on_event_churn_dense", load);
+  EXPECT_GE(served, 2000u);
 }
 
 // ===== Query CSV writer =====
