@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <tuple>
+#include <vector>
 
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
@@ -257,6 +260,72 @@ TEST(Attestation, SimulatedSgxRunsAttestBeforeProtocol) {
   for (core::NodeId id = 0; id < simulator.node_count(); ++id) {
     EXPECT_TRUE(simulator.host(id).trusted().fully_attested()) << id;
   }
+}
+
+/// Per-node cumulative traffic, flattened: messages and bytes each way.
+std::vector<std::uint64_t> traffic_snapshot(Simulator& simulator) {
+  std::vector<std::uint64_t> out;
+  for (core::NodeId id = 0; id < simulator.node_count(); ++id) {
+    const net::TrafficStats& t = simulator.transport().stats(id);
+    out.insert(out.end(), {t.messages_sent, t.messages_received,
+                           t.bytes_sent, t.bytes_received});
+  }
+  return out;
+}
+
+/// Attestation runs node-parallel: the handshake step count and every
+/// node's traffic must not depend on the worker count, both right after
+/// the handshakes and after a run that re-attests (churn rejoins).
+void expect_attestation_identical_across_threads(const Scenario& scenario) {
+  std::size_t reference_rounds = 0;
+  std::vector<std::uint64_t> reference_handshake;
+  std::vector<std::uint64_t> reference_run;
+  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+    SCOPED_TRACE(threads);
+    Scenario run = scenario;
+    run.threads = threads;
+    ScenarioInputs inputs;
+    Simulator simulator = make_scenario_simulator(run, inputs);
+    simulator.run_attestation();
+    EXPECT_GT(simulator.attestation_rounds(), 0u);
+    for (core::NodeId id = 0; id < simulator.node_count(); ++id) {
+      EXPECT_TRUE(simulator.host(id).trusted().fully_attested()) << id;
+    }
+    const std::vector<std::uint64_t> handshake = traffic_snapshot(simulator);
+    simulator.initialize_nodes();
+    simulator.run_epochs(run.epochs);
+    const std::vector<std::uint64_t> full = traffic_snapshot(simulator);
+    if (threads == 1) {
+      reference_rounds = simulator.attestation_rounds();
+      reference_handshake = handshake;
+      reference_run = full;
+      EXPECT_GT(std::accumulate(handshake.begin(), handshake.end(),
+                                std::uint64_t{0}),
+                0u);
+    } else {
+      EXPECT_EQ(simulator.attestation_rounds(), reference_rounds);
+      EXPECT_EQ(handshake, reference_handshake);
+      EXPECT_EQ(full, reference_run);
+    }
+  }
+}
+
+TEST(Attestation, BarrierHandshakeTrafficIdenticalAcrossThreads) {
+  Scenario scenario = small_scenario();
+  scenario.rex.security = enclave::SecurityMode::kSgxSimulated;
+  scenario.epochs = 4;
+  expect_attestation_identical_across_threads(scenario);
+}
+
+TEST(Attestation, EventChurnHandshakeTrafficIdenticalAcrossThreads) {
+  Scenario scenario = small_scenario();
+  scenario.rex.security = enclave::SecurityMode::kSgxSimulated;
+  scenario.rex.algorithm = core::Algorithm::kRmw;
+  scenario.engine_mode = EngineMode::kEventDriven;
+  scenario.dynamics.churn_probability = 0.25;
+  scenario.dynamics.churn_downtime_s = 0.001;
+  scenario.epochs = 6;
+  expect_attestation_identical_across_threads(scenario);
 }
 
 }  // namespace
