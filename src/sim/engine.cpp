@@ -34,7 +34,6 @@ SimEngine::SimEngine(const core::RexConfig& rex, const graph::Graph& topology,
     edge_traffic_.resize(links_.edge_count());
     pair_deliver_horizon_.resize(2 * links_.edge_count());
   }
-  group_refs_.assign(n, GroupRef{});
   deferred_held_.resize(n);
   jitter_rngs_.reserve(n);
   Rng master(config_.seed ^ 0x0E7E27D21FE27ULL);  // independent jitter seed
@@ -120,11 +119,14 @@ SimEngine::SchedulerStats SimEngine::scheduler_stats() const {
 void SimEngine::run_attestation() {
   if (rex_.security == enclave::SecurityMode::kNative) return;
   const std::size_t n = hosts_.size();
-  for (core::NodeId id = 0; id < n; ++id) {
-    std::vector<core::NodeId> neighbors(topology_.neighbors(id).begin(),
-                                        topology_.neighbors(id).end());
-    hosts_[id].start_attestation(neighbors);
-  }
+  // Node-parallel like a barrier round: each node draws its handshake keys
+  // from its own Drbg and sends into its own outbox, so the challenges are
+  // the same bytes in the same order whatever the worker count.
+  pool_.parallel_for(n, [&](std::size_t id) {
+    const auto neighbors = topology_.neighbors(static_cast<core::NodeId>(id));
+    hosts_[id].start_attestation(
+        std::vector<core::NodeId>(neighbors.begin(), neighbors.end()));
+  });
   // The 3-message handshake needs 3 delivery steps; allow slack for odd
   // schedules, then verify. Each step is one kAttestStep event; the clock
   // does not advance (attestation precedes simulated time in both modes).
@@ -151,16 +153,29 @@ void SimEngine::run_attestation() {
 
 bool SimEngine::deliver_attestation_step() {
   transport_.flush_round();
+  const std::size_t n = hosts_.size();
   bool any_delivered = false;
-  for (core::NodeId id = 0; id < hosts_.size(); ++id) {
-    transport_.drain_inbox(id, drain_scratch_);
-    for (const net::Envelope& env : drain_scratch_) {
-      hosts_[id].on_deliver(env);
+  for (core::NodeId id = 0; id < n; ++id) {
+    if (transport_.inbox_size(id) > 0) {
       any_delivered = true;
+      break;
     }
-    drain_scratch_.clear();  // release payload refs before the next drain
   }
+  // Quoting and DCAP verification are const; everything else a handshake
+  // touches is the receiving node's own.
+  pool_.parallel_for(n, [&](std::size_t id) {
+    deliver_inbox(static_cast<core::NodeId>(id));
+  });
   return any_delivered;
+}
+
+void SimEngine::deliver_inbox(core::NodeId id) {
+  // Recycled per-worker drain buffer: one vector per node per step would be
+  // n allocations a round at 10k nodes for the same few envelopes' capacity.
+  static thread_local std::vector<net::Envelope> drained;
+  transport_.drain_inbox(id, drained);
+  for (const net::Envelope& env : drained) hosts_[id].on_deliver(env);
+  drained.clear();  // release payload refs; keep capacity for the next node
 }
 
 // ===== Epoch 0 =====
@@ -263,15 +278,7 @@ void SimEngine::run_barrier_round() {
   // Every node does one epoch of comparable cost: static block split.
   pool_.parallel_for(n, [&](std::size_t id) {
     hosts_[id].runtime().reset_epoch_counters();
-    // Recycled per-worker drain buffer: the historical loop allocated (and
-    // freed) one vector per node per round, n allocations a round at 10k
-    // nodes for what is always the same few envelopes' worth of capacity.
-    static thread_local std::vector<net::Envelope> drained;
-    transport_.drain_inbox(static_cast<core::NodeId>(id), drained);
-    for (const net::Envelope& env : drained) {
-      hosts_[id].on_deliver(env);
-    }
-    drained.clear();  // release payload refs; keep capacity for the next node
+    deliver_inbox(static_cast<core::NodeId>(id));
     if (rex_.algorithm == core::Algorithm::kRmw) {
       hosts_[id].on_train_due();
     }
@@ -957,50 +964,19 @@ bool SimEngine::process_next_batch() {
   events_processed_ += batch_.size();
   ++batches_processed_;
 
-  // Fast path: most batches hold a single event (distinct timestamps), for
-  // which grouping and the worker handoff are pure overhead. Semantics are
-  // identical — one event is trivially "in seq order within its node".
-  if (batch_.size() == 1) {
-    const Event& event = batch_.front();
-    apply_event_math(event);
-    serial_event_hook(event);
-    finish_node(event.node, t);
-    if (harness_ != nullptr) harness_->on_batch(clock_);
-    return true;
-  }
-
-  // Parallel math phase: group by node (nodes own disjoint state), one
-  // work-stealing shard per node, events within a node in seq order and
-  // each through apply_event_math — a delivery is one host on_deliver, one
-  // ecall_input. The grouping containers are all recycled: stamps make the
-  // per-node lookup table reset lazily instead of O(n) per batch.
-  for (std::size_t g = 0; g < groups_used_; ++g) groups_[g].clear();
-  groups_used_ = 0;
-  ++batch_stamp_;
-  for (const Event& event : batch_) {  // batch is already seq-sorted
-    GroupRef& ref = group_refs_[event.node];
-    if (ref.stamp != batch_stamp_) {
-      ref.stamp = batch_stamp_;
-      ref.slot = static_cast<std::uint32_t>(groups_used_);
-      if (groups_used_ == groups_.size()) groups_.emplace_back();
-      ++groups_used_;
-    }
-    groups_[ref.slot].push_back(&event);
-  }
-  pool_.parallel_shards(groups_used_, [&](std::size_t g) {
-    for (const Event* event : groups_[g]) apply_event_math(*event);
-  });
-
-  // Serial scheduling phase: event hooks in seq order, then completed
-  // protocol runs in node-id order — deterministic regardless of threads.
-  // Only nodes that processed an event this batch can have completed an
-  // epoch, so sweep those, not all n (batches are usually a single event).
+  // Event math in seq order on this thread (a delivery is one host
+  // on_deliver, one ecall_input), then the event hooks in seq order, then
+  // completed protocol runs in node-id order. A batch averages 1.3-2.7
+  // events, too little work to pay a hand-off to the worker pool. Only
+  // nodes that processed an event this batch can have completed an epoch,
+  // so sweep those, not all n.
+  for (const Event& event : batch_) apply_event_math(event);
   for (const Event& event : batch_) serial_event_hook(event);
   batch_nodes_.clear();
-  for (std::size_t g = 0; g < groups_used_; ++g) {
-    batch_nodes_.push_back(groups_[g].front()->node);
-  }
+  for (const Event& event : batch_) batch_nodes_.push_back(event.node);
   std::sort(batch_nodes_.begin(), batch_nodes_.end());
+  batch_nodes_.erase(std::unique(batch_nodes_.begin(), batch_nodes_.end()),
+                     batch_nodes_.end());
   for (const core::NodeId id : batch_nodes_) finish_node(id, t);
   if (harness_ != nullptr) harness_->on_batch(clock_);
   return true;

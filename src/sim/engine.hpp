@@ -32,13 +32,15 @@
 // transmission times, not the max (DESIGN.md §5). Per-edge delivery
 // counters feed report.cpp's write_edge_csv.
 //
-// Determinism: all event processing at one timestamp is split into a
-// parallel math phase over per-node batches (nodes own disjoint state;
-// ThreadPool::parallel_shards runs each node's events in seq order, one
-// host call per event) and a single-threaded scheduling phase that visits
-// nodes in id order — so event sequence numbers, RNG draws, and therefore
-// entire ExperimentResults are identical for a given seed regardless of
-// worker-thread count.
+// Threads and determinism: the worker pool runs only coarse per-node loops
+// (ThreadPool::parallel_for over nodes that own disjoint state): epoch-0
+// init, barrier rounds and attestation steps. The event engine runs on the
+// calling thread: all events at one timestamp do their math in seq order
+// (one host call per event), then their scheduling hooks, then a sweep of
+// the batch's nodes in id order. A batch holds ~1.3-2.7 events, too little
+// work to pay a pool hand-off. Event sequence numbers, RNG draws, and
+// therefore entire ExperimentResults are identical for a given seed
+// regardless of worker-thread count.
 //
 // One path per job: both disciplines aggregate node epochs into a
 // RoundRecord through EpochBucket and answer queries through serve_query /
@@ -50,7 +52,7 @@
 // binary heap's O(log n), identical (time, seq) pop order — see
 // support/calendar_queue.hpp), per-event state lives in SlotPool slots
 // addressed by Event::slot instead of seq-keyed hash maps, the per-batch
-// grouping containers are recycled across batches, and run_epochs tracks
+// scratch vectors are recycled across batches, and run_epochs tracks
 // an incremental below-target node counter instead of rescanning all n
 // nodes per batch. Together these keep the scheduler's cost per event flat
 // in the node count (profiled at 10k nodes by
@@ -393,19 +395,25 @@ class SimEngine {
   void note_epochs_done(core::NodeId id, std::uint64_t count);
   void collect_round_record();
   /// One attestation delivery step: flushes the round and hands every
-  /// node's inbox to its host, in node-id order. True if anything was
+  /// node's inbox to its host, node-parallel. True if anything was
   /// delivered.
   bool deliver_attestation_step();
+  /// Drains `id`'s inbox into its host (on_deliver per envelope, in inbox
+  /// order). The node-parallel body shared by barrier rounds and
+  /// attestation steps; touches only node `id`'s state.
+  void deliver_inbox(core::NodeId id);
 
   // ===== barrier mode =====
   void run_barrier_round();
 
   // ===== event mode =====
-  /// Pops and executes every event at the earliest queued timestamp:
-  /// parallel per-node math phase, then serial scheduling phase in node-id
-  /// order. Returns false when the queue is empty.
+  /// Pops and executes every event at the earliest queued timestamp on the
+  /// calling thread: each event's math in seq order, then each event's
+  /// serial hook in seq order, then finish_node for the batch's nodes in
+  /// id order. Returns false when the queue is empty.
   bool process_next_batch();
-  /// Math side of one event (runs inside the parallel phase).
+  /// Math side of one event: the host call (delivery, train timer, query)
+  /// touching only the event's node. Runs before any hook of the batch.
   void apply_event_math(const Event& event);
   /// Engine-side half of one delivery: churn-drop check, the
   /// Envelope::delivered verdict and receive accounting. Returns the
@@ -611,20 +619,7 @@ class SimEngine {
 
   // Recycled batch scratch (process_next_batch): cleared, never shrunk.
   std::vector<Event> batch_;
-  std::vector<std::vector<const Event*>> groups_;
-  std::size_t groups_used_ = 0;
-  /// Per-node batch-grouping tag + group index, lazily reset via the stamp
-  /// (one cache line per node instead of two parallel arrays).
-  struct GroupRef {
-    std::uint64_t stamp = 0;
-    std::uint32_t slot = 0;
-  };
-  std::vector<GroupRef> group_refs_;
-  std::uint64_t batch_stamp_ = 0;
   std::vector<core::NodeId> batch_nodes_;
-  /// Recycled attestation drain buffer (one per engine; the attestation
-  /// loop is single-threaded).
-  std::vector<net::Envelope> drain_scratch_;
 
   /// Lean-memory shared test buffer (Config::lean_memory; DESIGN.md §10):
   /// every node's test ratings concatenated once, handed to the enclaves
