@@ -37,7 +37,7 @@ enum class EventKind : std::uint8_t {
   /// sweep itself visits every pair.
   kReattestSweep,
   /// One open-loop inference query arrives at a node (DESIGN.md §9
-  /// "Serving path"). The top-k scoring runs in the parallel math phase;
+  /// "Serving path"). The top-k scoring runs in apply_event_math;
   /// the serial hook accounts latency/staleness and chains the node's next
   /// arrival. Event::slot addresses the QueryJob state. Only scheduled when
   /// the query load is enabled, so serving-off runs keep their schedule

@@ -6,23 +6,20 @@
 // One batch mechanism, two entry points:
 //
 //   parallel_shards  workers repeatedly claim the lowest unclaimed shard
-//                    from a shared cursor, so a straggler shard (an event
-//                    batch with an expensive node) does not idle the rest
-//                    of the pool. Used by the event engine for independent
-//                    per-node event batches at the same simulated timestamp.
+//                    from a shared cursor, so a straggler shard does not
+//                    idle the rest of the pool. The primitive parallel_for
+//                    is built on.
 //
 //   parallel_for     the same claim loop over contiguous blocks of
-//                    ceil(n / workers) indices, one block per shard. Best
-//                    when every index costs about the same (a barrier round
-//                    where all nodes do one epoch).
+//                    ceil(n / workers) indices, one block per shard. The
+//                    simulator's only caller shape: per-node loops where
+//                    every node does comparable, millisecond-scale work
+//                    (epoch-0 init, a barrier round, an attestation step).
 //
 // Both entry points are templates dispatching through a borrowed
-// (context, trampoline) pair instead of std::function: the event engine
-// calls parallel_shards once per same-timestamp batch — at 10k nodes that
-// is hundreds of thousands of calls, and a std::function materialized per
-// call would put a heap allocation on the scheduler's critical path. The
-// callable only needs to outlive the call, which both primitives guarantee
-// by blocking until the batch completes.
+// (context, trampoline) pair instead of std::function, so a call costs no
+// heap allocation; the callable only needs to outlive the call, which both
+// primitives guarantee by blocking until the batch completes.
 #pragma once
 
 #include <algorithm>
