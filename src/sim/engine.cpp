@@ -155,11 +155,8 @@ bool SimEngine::deliver_attestation_step() {
   transport_.flush_round();
   const std::size_t n = hosts_.size();
   bool any_delivered = false;
-  for (core::NodeId id = 0; id < n; ++id) {
-    if (transport_.inbox_size(id) > 0) {
-      any_delivered = true;
-      break;
-    }
+  for (core::NodeId id = 0; id < n && !any_delivered; ++id) {
+    any_delivered = transport_.inbox_size(id) > 0;
   }
   // Quoting and DCAP verification are const; everything else a handshake
   // touches is the receiving node's own.
