@@ -6,6 +6,20 @@
 
 namespace rex::core {
 
+namespace {
+
+/// Encoded length of a BinaryWriter varint (LEB128: 7 bits per byte).
+std::size_t varint_len(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
 Bytes ProtocolPayload::encode(Bytes scratch) const {
   serialize::BinaryWriter w(std::move(scratch));
   w.u8(static_cast<std::uint8_t>(kind));
@@ -43,6 +57,29 @@ Bytes ProtocolPayload::encode(Bytes scratch) const {
       break;
   }
   return w.take();
+}
+
+std::size_t ProtocolPayload::plain_encoded_size(
+    std::size_t exact_blob_size) const {
+  // encode()'s header: kind byte, epoch varint, sender degree.
+  const std::size_t header = 1 + varint_len(epoch) + sizeof(std::uint32_t);
+  switch (kind) {
+    case PayloadKind::kEmpty:
+      return header;
+    case PayloadKind::kRawData:
+    case PayloadKind::kRawDataCompressed:
+      // varint count + (u32 user, u32 item, f32 value) per rating.
+      return header + varint_len(ratings.size()) + 12 * ratings.size();
+    case PayloadKind::kModel:
+    case PayloadKind::kModelQuantized:
+      return header + varint_len(exact_blob_size) + exact_blob_size;
+    case PayloadKind::kResyncRequest:
+    case PayloadKind::kResyncRequestSliced:
+    case PayloadKind::kResyncModel:
+      break;
+  }
+  REX_REQUIRE(false, "plain_encoded_size: not a share payload");
+  return 0;
 }
 
 Bytes ProtocolPayload::encode_model(

@@ -73,6 +73,14 @@ struct ProtocolPayload {
   [[nodiscard]] Bytes encode_model(
       Bytes scratch, std::size_t blob_size,
       const std::function<void(serialize::BinaryWriter&)>& write_blob) const;
+  /// Size encode() would produce for this share under the uncompressed
+  /// codec of its kind: kRawDataCompressed sized as kRawData, and
+  /// kModelQuantized as kModel carrying the model's exact serialization of
+  /// `exact_blob_size` bytes (kModel always carries that blob). Equals the
+  /// encoded size for kEmpty, kRawData and kModel; the share path counts
+  /// the difference as bytes saved by compression. Not for resync kinds.
+  [[nodiscard]] std::size_t plain_encoded_size(
+      std::size_t exact_blob_size) const;
   [[nodiscard]] static ProtocolPayload decode(BytesView bytes);
   /// Decodes into `out`, recycling its ratings/model_blob heap capacity —
   /// the receive path's counterpart of encode(scratch).

@@ -15,7 +15,7 @@ TrustedNode::TrustedNode(const RexConfig& config, NodeId id,
                          const enclave::QuotingEnclave* quoting_enclave,
                          const enclave::DcapVerifier* verifier,
                          ml::ModelFactory model_factory, std::uint64_t seed,
-                         SendFn send, BufferPool* payload_pool)
+                         SendFn send, BufferPool& payload_pool)
     : config_(config),
       id_(id),
       runtime_(runtime),
@@ -218,8 +218,7 @@ void TrustedNode::maybe_send_resync_request(NodeId peer) {
 }
 
 void TrustedNode::send_resync(NodeId peer, const ProtocolPayload& payload) {
-  Bytes plaintext =
-      payload.encode(payload_pool_ ? payload_pool_->acquire() : Bytes{});
+  Bytes plaintext = payload.encode(payload_pool_.acquire());
   if (runtime_.secure()) {
     REX_REQUIRE(attested_with(peer), "resync with unattested peer");
     Bytes wire = seal_framed(session(peer), peer, /*resync_plane=*/true,
@@ -227,15 +226,13 @@ void TrustedNode::send_resync(NodeId peer, const ProtocolPayload& payload) {
     runtime_.record_crypto(wire.size());
     runtime_.record_ocall(wire.size());
     send_(peer, net::MessageKind::kResync, SharedBytes::wrap(std::move(wire)));
-    if (payload_pool_ != nullptr) payload_pool_->release(std::move(plaintext));
+    payload_pool_.release(std::move(plaintext));
     return;
   }
   runtime_.record_ocall(plaintext.size());
   ++plaintext_shares_sent_;  // native wire is plaintext (invariant audit)
   const SharedBytes wire =
-      payload_pool_ != nullptr
-          ? SharedBytes::pooled(*payload_pool_, std::move(plaintext))
-          : SharedBytes::wrap(std::move(plaintext));
+      SharedBytes::pooled(payload_pool_, std::move(plaintext));
   send_(peer, net::MessageKind::kResync, wire);
 }
 
@@ -751,27 +748,13 @@ void TrustedNode::train_step() {
   }
 }
 
-namespace {
-
-/// Encoded length of a BinaryWriter varint (LEB128: 7 bits per byte).
-std::size_t varint_len(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
 void TrustedNode::share_step() {
   if (neighbors_.empty()) return;
   const ProtocolPayload payload = build_share_payload();
-  // Encode once, into recycled pool storage when available; only the
-  // per-peer encryption differs between destinations. An exact model share
-  // serializes straight into that storage (no staged blob).
-  Bytes scratch = payload_pool_ ? payload_pool_->acquire() : Bytes{};
+  // Encode once, into recycled pool storage; only the per-peer encryption
+  // differs between destinations. An exact model share serializes straight
+  // into that storage (no staged blob).
+  Bytes scratch = payload_pool_.acquire();
   Bytes plaintext =
       payload.kind == PayloadKind::kModel
           ? payload.encode_model(std::move(scratch), model_->wire_size(),
@@ -781,24 +764,12 @@ void TrustedNode::share_step() {
           : payload.encode(std::move(scratch));
 
   // Wire-compression savings, per message: what the uncompressed encoding
-  // of this share would have cost minus what it actually costs. The header
-  // (kind + epoch varint + degree) is identical between the codec pairs,
-  // so whole-plaintext arithmetic is exact.
-  std::size_t saved_per_message = 0;
-  if (payload.kind == PayloadKind::kRawDataCompressed) {
-    const std::size_t plain_size =
-        1 + varint_len(payload.epoch) + sizeof(std::uint32_t) +
-        varint_len(payload.ratings.size()) + 12 * payload.ratings.size();
-    saved_per_message =
-        plain_size > plaintext.size() ? plain_size - plaintext.size() : 0;
-  } else if (payload.kind == PayloadKind::kModelQuantized) {
-    const std::size_t blob = model_->wire_size();  // raw-f32 codec size
-    const std::size_t plain_size = 1 + varint_len(payload.epoch) +
-                                   sizeof(std::uint32_t) + varint_len(blob) +
-                                   blob;
-    saved_per_message =
-        plain_size > plaintext.size() ? plain_size - plaintext.size() : 0;
-  }
+  // of this share would have cost minus what it actually costs (0 for the
+  // uncompressed kinds, whose plain size is their encoded size).
+  const std::size_t plain_size =
+      payload.plain_encoded_size(model_->wire_size());
+  const std::size_t saved_per_message =
+      plain_size > plaintext.size() ? plain_size - plaintext.size() : 0;
 
   const std::uint64_t sent_before = counters_.messages_sent;
   if (config_.algorithm == Algorithm::kRmw) {
@@ -870,16 +841,14 @@ void TrustedNode::share_with(std::span<const NodeId> dsts, Bytes plaintext) {
       ++counters_.messages_sent;
       send_(dst, net::MessageKind::kProtocol, SharedBytes::wrap(std::move(wire)));
     }
-    if (payload_pool_ != nullptr) payload_pool_->release(std::move(plaintext));
+    payload_pool_.release(std::move(plaintext));
     return;
   }
   // Native runs: the plaintext *is* the wire. One refcounted buffer serves
   // every edge — a share to k neighbors stores its bytes exactly once.
   const std::size_t plaintext_size = plaintext.size();
   const SharedBytes wire =
-      payload_pool_ != nullptr
-          ? SharedBytes::pooled(*payload_pool_, std::move(plaintext))
-          : SharedBytes::wrap(std::move(plaintext));
+      SharedBytes::pooled(payload_pool_, std::move(plaintext));
   for (NodeId dst : dsts) {
     counters_.bytes_serialized += plaintext_size;
     runtime_.record_ocall(wire.size());

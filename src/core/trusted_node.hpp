@@ -50,16 +50,16 @@ class TrustedNode {
   using SendFn =
       std::function<void(NodeId dst, net::MessageKind kind, SharedBytes blob)>;
 
-  /// `payload_pool` (optional) recycles outbound payload storage: encode
-  /// scratch is acquired from it and returns to it when the last envelope
-  /// referencing the blob is consumed.
+  /// `payload_pool` recycles outbound payload storage: encode scratch is
+  /// acquired from it and returns to it when the last envelope referencing
+  /// the blob is consumed.
   TrustedNode(const RexConfig& config, NodeId id,
               enclave::Runtime& runtime,
               const enclave::EnclaveIdentity& identity,
               const enclave::QuotingEnclave* quoting_enclave,
               const enclave::DcapVerifier* verifier,
               ml::ModelFactory model_factory, std::uint64_t seed,
-              SendFn send, BufferPool* payload_pool = nullptr);
+              SendFn send, BufferPool& payload_pool);
 
   // ===== Attestation phase (§III-A) =====
 
@@ -291,7 +291,7 @@ class TrustedNode {
   const enclave::DcapVerifier* verifier_;
   ml::ModelFactory model_factory_;
   SendFn send_;
-  BufferPool* payload_pool_;  // outbound payload recycling (nullable)
+  BufferPool& payload_pool_;  // outbound payload recycling
 
   Rng rng_;             // training / sampling / neighbor choice
   crypto::Drbg drbg_;   // attestation key material

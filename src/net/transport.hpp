@@ -18,6 +18,11 @@
 //
 // Every inbox writer is serialized (flush_round() is single-threaded), so
 // the mailboxes carry no locks.
+//
+// Traffic counters are cumulative and never reset. A per-epoch figure is
+// the difference of two stats() readings: the engine keeps one mark per
+// node for both disciplines (SimEngine::NodeStatus::traffic_mark), the
+// rex_node daemon one for its own node.
 #pragma once
 
 #include <vector>
@@ -70,6 +75,16 @@ struct TrafficStats {
   }
 };
 
+/// Bytes in + out between `mark` and `now`, then moves `mark` up to `now`:
+/// how every epoch record takes its traffic (the engine for each node, the
+/// rex_node daemon for its own).
+inline std::uint64_t take_bytes_since(TrafficStats& mark,
+                                      const TrafficStats& now) {
+  const std::uint64_t bytes = now.bytes_total() - mark.bytes_total();
+  mark = now;
+  return bytes;
+}
+
 /// Cache-line aligned, so it never shares a line with a neighbouring heap
 /// object: worker threads lock payload_pool_'s mutex and read the mailbox
 /// and traffic vector headers on every send. Unaligned, the SGX D-PSGD
@@ -97,7 +112,7 @@ class alignas(64) Transport {
 
   /// Routes all queued sends into destination inboxes. Call at the
   /// round barrier only (single-threaded). Accounts sender and receiver
-  /// traffic in the current epoch window.
+  /// traffic.
   void flush_round();
 
   /// Removes and returns everything deliverable to `node`, in (flush batch,
@@ -138,12 +153,9 @@ class alignas(64) Transport {
   /// Touches only env.src's counters, so calls for distinct senders are
   /// safe to run concurrently.
   void record_send(const Envelope& env) {
-    const std::size_t wire = env.wire_size();
-    NodeTraffic& traffic = traffic_[env.src];
-    traffic.total.messages_sent++;
-    traffic.total.bytes_sent += wire;
-    traffic.epoch.messages_sent++;
-    traffic.epoch.bytes_sent += wire;
+    TrafficStats& traffic = traffic_[env.src];
+    traffic.messages_sent++;
+    traffic.bytes_sent += env.wire_size();
   }
 
   /// Shared recycling pool for payload buffers: senders acquire encode
@@ -155,12 +167,9 @@ class alignas(64) Transport {
   /// its destination host. Touches only env.dst's counters, so concurrent
   /// calls for distinct destinations are safe.
   void record_delivery(const Envelope& env) {
-    const std::size_t wire = env.wire_size();
-    NodeTraffic& traffic = traffic_[env.dst];
-    traffic.total.messages_received++;
-    traffic.total.bytes_received += wire;
-    traffic.epoch.messages_received++;
-    traffic.epoch.bytes_received += wire;
+    TrafficStats& traffic = traffic_[env.dst];
+    traffic.messages_received++;
+    traffic.bytes_received += env.wire_size();
   }
 
   /// Frees the backing storage of `node`'s (drained) mailboxes — the
@@ -176,32 +185,17 @@ class alignas(64) Transport {
 
   [[nodiscard]] const TrafficStats& stats(NodeId node) const {
     check_node(node);
-    return traffic_[node].total;
+    return traffic_[node];
   }
 
   /// Sum of per-node sent bytes (every byte is counted once as sent and
   /// once as received).
   [[nodiscard]] std::uint64_t total_bytes_sent() const;
 
-  /// Clears per-epoch counters kept by epoch_stats(); cumulative stats()
-  /// are unaffected.
-  void reset_epoch_stats();
-  [[nodiscard]] const TrafficStats& epoch_stats(NodeId node) const;
-
  private:
   void check_node(NodeId node) const {
     REX_REQUIRE(node < outboxes_.size(), "transport node id out of range");
   }
-
-  /// Cumulative + per-epoch counters for one node, kept adjacent so one
-  /// accounting update touches a single cache line (at 10k nodes every
-  /// delivery hits a random node's counters; two parallel vectors cost two
-  /// misses where one struct costs one).
-  struct NodeTraffic {
-    TrafficStats total;
-    TrafficStats epoch;
-  };
-  static_assert(sizeof(NodeTraffic) <= 64, "one cache line per node");
 
   /// Declared before the mailboxes on purpose: envelopes queued in them
   /// release payload storage back into this pool on destruction, so the
@@ -209,7 +203,7 @@ class alignas(64) Transport {
   BufferPool payload_pool_;
   std::vector<EnvelopeFifo> outboxes_;  // indexed by sender
   std::vector<EnvelopeFifo> inboxes_;   // indexed by receiver
-  std::vector<NodeTraffic> traffic_;    // indexed by node
+  std::vector<TrafficStats> traffic_;   // indexed by node
 };
 
 }  // namespace rex::net

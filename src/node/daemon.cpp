@@ -74,17 +74,24 @@ NodeReport run_node(const ClusterConfig& config, net::NodeId self,
   double init_time = 0.0;  // wall time of ecall_init (trajectory t = 0)
   net::TrafficStats traffic_mark{};
 
-  // Records one RoundRecord per completed epoch. TrustedNode keeps only the
-  // latest epoch's counters, so this must run after every call that can
-  // finish an epoch — the REX_CHECK catches any epoch that slipped by.
+  // Records one RoundRecord per completed epoch through the same
+  // EpochBucket the simulator aggregates with (a bucket of one node); only
+  // the wall-clock round_time / cumulative_time are set here. TrustedNode
+  // keeps only the latest epoch's counters, so this must run after every
+  // call that can finish an epoch — the REX_CHECK catches any epoch that
+  // slipped by.
   auto snapshot = [&] {
     while (report.trajectory.rounds.size() < trusted.epochs_completed()) {
       REX_CHECK(
           trusted.epochs_completed() - report.trajectory.rounds.size() == 1,
           "epoch snapshot fell behind the enclave");
       const core::EpochCounters& counters = trusted.last_epoch();
-      sim::RoundRecord round;
-      round.epoch = report.trajectory.rounds.size();
+      sim::EpochBucket bucket;
+      bucket.add(counters, sim::StageTimes{},
+                 static_cast<double>(net::take_bytes_since(
+                     traffic_mark, transport.stats(self))),
+                 static_cast<double>(counters.memory_bytes), 1.0);
+      sim::RoundRecord round = bucket.record(report.trajectory.rounds.size());
       const double elapsed = mono_now() - init_time;
       const double previous =
           round.epoch == 0
@@ -92,18 +99,6 @@ NodeReport run_node(const ClusterConfig& config, net::NodeId self,
               : report.trajectory.rounds.back().cumulative_time.seconds;
       round.cumulative_time = SimTime{elapsed};
       round.round_time = SimTime{elapsed - previous};
-      round.nodes_reporting = 1;
-      round.mean_rmse = round.min_rmse = round.max_rmse = counters.rmse;
-      const net::TrafficStats& total = transport.stats(self);
-      round.mean_bytes_in_out = static_cast<double>(
-          (total.bytes_sent + total.bytes_received) -
-          (traffic_mark.bytes_sent + traffic_mark.bytes_received));
-      traffic_mark = total;
-      round.mean_store_size = static_cast<double>(trusted.store_size());
-      round.mean_memory_bytes = round.max_memory_bytes =
-          static_cast<double>(counters.memory_bytes);
-      round.duplicates_dropped = counters.duplicates_dropped;
-      round.bytes_saved_compression = counters.bytes_saved_compression;
       report.trajectory.rounds.push_back(round);
       if (options.verbose) {
         std::printf("node %u epoch %llu rmse %.6f t %.3fs\n",

@@ -181,7 +181,12 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
   REX_REQUIRE(!initialized_, "engine already initialized");
   const std::size_t n = hosts_.size();
   REX_REQUIRE(shards.size() == n, "one shard per node required");
-  transport_.reset_epoch_stats();
+  // Epoch 0's traffic starts here: attestation stays out of the records.
+  // (Epoch-0 sends only queue in outboxes, so a mark taken after the init
+  // loop would read the same.)
+  for (core::NodeId id = 0; id < n; ++id) {
+    nodes_[id].traffic_mark = transport_.stats(id);
+  }
   if (config_.lean_memory) {
     // Concatenate the per-node test sets into one engine-owned buffer
     // (DESIGN.md §10); each node gets a read-only span instead of a copy.
@@ -221,26 +226,17 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
     ++nodes_[id].events_processed;
   });
   events_processed_ += n;
+  if (query_load_.enabled()) {
+    // Serving (DESIGN.md §9): every node's first arrival. Each node draws
+    // from its own stream, so drawing here touches no protocol state.
+    for (core::NodeId id = 0; id < n; ++id) draw_query(id, SimTime{0.0});
+  }
   if (config_.mode == EngineMode::kBarrier) {
-    if (query_load_.enabled()) {
-      // Pre-draw each node's first arrival (+ user pick, same draw order
-      // as the event path); collect_round_record serves each round's
-      // window after the round's math.
-      barrier_query_next_.resize(n);
-      for (core::NodeId id = 0; id < n; ++id) {
-        barrier_query_next_[id].arrival =
-            query_load_.next_arrival(id, SimTime{0.0}, query_rngs_[id]);
-        barrier_query_next_[id].user_pick = query_rngs_[id].next_u64();
-      }
-    }
+    // collect_round_record answers each round's arrivals after its math.
     transport_.flush_round();
     collect_round_record();
   } else {
     // Event mode: every node starts epoch 0 on its own timeline at t = 0.
-    // Attestation traffic stays out of the epoch accounting.
-    for (core::NodeId id = 0; id < n; ++id) {
-      nodes_[id].traffic_mark = transport_.stats(id);
-    }
     for (core::NodeId id = 0; id < n; ++id) {
       post_epoch(id, SimTime{0.0});
     }
@@ -251,12 +247,12 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
       schedule(SimTime{config_.dynamics.reattest_interval_s}, 0,
                EventKind::kReattestSweep);
     }
-    // Serving (DESIGN.md §9): every node's query chain starts at its first
-    // drawn arrival. Scheduled last — and only when enabled — so the seq
-    // numbers of all protocol events above are untouched by the flag.
+    // Every node's query chain starts at its first arrival. Scheduled
+    // last — and only when enabled — so the seq numbers of all protocol
+    // events above are untouched by the flag.
     if (query_load_.enabled()) {
       for (core::NodeId id = 0; id < n; ++id) {
-        schedule_query(id, SimTime{0.0});
+        schedule(nodes_[id].query_arrival, id, EventKind::kQuery);
       }
     }
   }
@@ -271,7 +267,6 @@ void SimEngine::run_barrier_round() {
   // drained at the barrier, D-PSGD runs its epoch on the last arrival, RMW
   // trains because the round *is* its period.
   const std::size_t n = hosts_.size();
-  transport_.reset_epoch_stats();
   // Every node does one epoch of comparable cost: static block split.
   pool_.parallel_for(n, [&](std::size_t id) {
     hosts_[id].runtime().reset_epoch_counters();
@@ -308,9 +303,11 @@ void SimEngine::collect_round_record() {
       status.model_fresh_at = status.busy_until;
     }
     slowest = std::max(slowest, stages.total());
+    const std::uint64_t bytes =
+        net::take_bytes_since(nodes_[id].traffic_mark, transport_.stats(id));
     // Nodes never churn in barrier mode: every node is reachable.
     bucket.add(host.trusted().last_epoch(), stages,
-               static_cast<double>(transport_.epoch_stats(id).bytes_total()),
+               static_cast<double>(bytes),
                static_cast<double>(host.runtime().stats().resident_bytes),
                1.0);
   }
@@ -322,45 +319,6 @@ void SimEngine::collect_round_record() {
   record.cumulative_time = clock_;
   result_.rounds.push_back(record);
   if (query_load_.enabled()) run_barrier_queries(clock_);
-}
-
-void SimEngine::EpochBucket::add(const core::EpochCounters& counters,
-                                 const StageTimes& stages, double bytes,
-                                 double memory, double reachable) {
-  const bool first = contributors == 0;
-  ++contributors;
-  reachable_sum += reachable;
-  rmse_sum += counters.rmse;
-  rmse_min = first ? counters.rmse : std::min(rmse_min, counters.rmse);
-  rmse_max = std::max(rmse_max, counters.rmse);
-  stage_sum += stages;
-  stage_max.raise_to(stages);
-  bytes_sum += bytes;
-  mem_sum += memory;
-  mem_max = std::max(mem_max, memory);
-  store_sum += static_cast<double>(counters.store_size);
-  duplicates += counters.duplicates_dropped;
-  bytes_saved += counters.bytes_saved_compression;
-}
-
-RoundRecord SimEngine::EpochBucket::record(std::uint64_t epoch) const {
-  const double dn = static_cast<double>(contributors);
-  RoundRecord r;
-  r.epoch = epoch;
-  r.nodes_reporting = contributors;
-  r.reachable_fraction = reachable_sum / dn;
-  r.mean_rmse = rmse_sum / dn;
-  r.min_rmse = rmse_min;
-  r.max_rmse = rmse_max;
-  r.mean_bytes_in_out = bytes_sum / dn;
-  r.mean_stages = stage_sum.mean(dn);
-  r.max_stages = stage_max;
-  r.mean_memory_bytes = mem_sum / dn;
-  r.max_memory_bytes = mem_max;
-  r.mean_store_size = store_sum / dn;
-  r.duplicates_dropped = duplicates;
-  r.bytes_saved_compression = bytes_saved;
-  return r;
 }
 
 // ===== Event mode =====
@@ -415,7 +373,9 @@ void SimEngine::apply_event_math(const Event& event) {
       return;
     }
     case EventKind::kQuery: {
-      apply_query_math(event);
+      REX_CHECK(event.time == status.query_arrival,
+                "query event off its node's pending arrival");
+      answer_query(event.node);
       return;
     }
     // Pure scheduling/bookkeeping events: handled in the serial phase.
@@ -475,14 +435,11 @@ void SimEngine::serial_event_hook(const Event& event) {
       const std::size_t epoch = static_cast<std::size_t>(pe.counters.epoch);
       if (buckets_.size() <= epoch) buckets_.resize(epoch + 1);
       EpochBucket& bucket = buckets_[epoch];
-      const net::TrafficStats& cumulative = transport_.stats(event.node);
-      net::TrafficStats& mark = nodes_[event.node].traffic_mark;
-      const double bytes =
-          static_cast<double>(cumulative.bytes_total() - mark.bytes_total());
-      mark = cumulative;
+      const std::uint64_t bytes = net::take_bytes_since(
+          nodes_[event.node].traffic_mark, transport_.stats(event.node));
       // Partition-aware sample: the fraction of the network online while
       // this record was collected (churn-free runs stay at exactly 1.0).
-      bucket.add(pe.counters, pe.stages, bytes,
+      bucket.add(pe.counters, pe.stages, static_cast<double>(bytes),
                  static_cast<double>(
                      hosts_[event.node].runtime().stats().resident_bytes),
                  static_cast<double>(online_count_) /
@@ -549,7 +506,14 @@ void SimEngine::serial_event_hook(const Event& event) {
       return;
     }
     case EventKind::kQuery: {
-      account_query(event);
+      // Chain the node's next arrival only while non-query work remains:
+      // when training/churn/WAN activity has quiesced, the chains drain and
+      // the run ends (N open-loop chains would otherwise keep each other
+      // alive).
+      if (non_query_queued_ > 0) {
+        schedule(draw_query(event.node, event.time), event.node,
+                 EventKind::kQuery);
+      }
       return;
     }
     case EventKind::kTrain:
@@ -735,25 +699,30 @@ void SimEngine::run_reattest_sweep(SimTime now) {
 
 // ===== Serving path (DESIGN.md §9) =====
 
-void SimEngine::schedule_query(core::NodeId node, SimTime after) {
-  const SimTime arrival =
-      query_load_.next_arrival(node, after, query_rngs_[node]);
-  const std::uint32_t slot = query_slots_.acquire();
-  QueryJob& job = query_slots_[slot];
-  job = QueryJob{};
-  job.user_pick = query_rngs_[node].next_u64();
-  schedule(arrival, node, EventKind::kQuery, slot);
+SimTime SimEngine::draw_query(core::NodeId node, SimTime after) {
+  NodeStatus& status = nodes_[node];
+  Rng& rng = query_rngs_[node];
+  status.query_arrival = query_load_.next_arrival(node, after, rng);
+  status.query_user_pick = rng.next_u64();
+  return status.query_arrival;
 }
 
-SimEngine::QueryJob SimEngine::serve_query(core::NodeId node, SimTime arrival,
-                                           std::uint64_t user_pick) {
-  const NodeStatus& status = nodes_[node];
+void SimEngine::answer_query(core::NodeId node) {
+  NodeStatus& status = nodes_[node];
+  const SimTime arrival = status.query_arrival;
+  ++status.queries_issued;
+  if (!status.online && arrival >= status.offline_since) {
+    // Same rule as prepare_delivery: the replica's outage has begun, the
+    // request has nowhere to go (routing to a warm peer is future work).
+    ++status.queries_dropped_offline;
+    return;
+  }
   core::TrustedNode& trusted = hosts_[node].trusted();
   const std::size_t users = trusted.local_user_count();
   const data::UserId user =
-      users > 0
-          ? trusted.local_user(static_cast<std::size_t>(user_pick % users))
-          : 0;
+      users > 0 ? trusted.local_user(
+                      static_cast<std::size_t>(status.query_user_pick % users))
+                : 0;
   // Real inference against the node's current model — the scoring loop and
   // the partial-sort select actually run (this is the wall-clock hot path
   // bench_serving measures), even though the simulated service time below
@@ -769,50 +738,15 @@ SimEngine::QueryJob SimEngine::serve_query(core::NodeId node, SimTime arrival,
   // busy_until: serving does not slow training down, which keeps training
   // metrics byte-identical with the load on.
   const double wait = std::max(0.0, (status.busy_until - arrival).seconds);
-  QueryJob job;
-  job.user_pick = user_pick;
-  job.latency_s = wait + compute.seconds;
-  job.staleness_s =
+  const double staleness =
       wait > 0.0 ? 0.0
                  : std::max(0.0, (arrival - status.model_fresh_at).seconds);
-  return job;
-}
-
-void SimEngine::record_served(NodeStatus& status, const QueryJob& job) {
   ++status.queries_served;
-  query_latency_.record(job.latency_s);
-  query_staleness_.record(job.staleness_s);
-  if (job.staleness_s > query_load_.config().stale_threshold_s) {
+  query_latency_.record(wait + compute.seconds);
+  query_staleness_.record(staleness);
+  if (staleness > query_load_.config().stale_threshold_s) {
     ++status.queries_stale;
   }
-}
-
-void SimEngine::apply_query_math(const Event& event) {
-  const NodeStatus& status = nodes_[event.node];
-  QueryJob& job = query_slots_[event.slot];
-  if (!status.online && event.time >= status.offline_since) {
-    // Same rule as prepare_delivery: the replica's outage has begun, the
-    // request has nowhere to go (routing to a warm peer is future work).
-    job.dropped = true;
-    return;
-  }
-  job = serve_query(event.node, event.time, job.user_pick);
-}
-
-void SimEngine::account_query(const Event& event) {
-  NodeStatus& status = nodes_[event.node];
-  const QueryJob& job = query_slots_[event.slot];
-  ++status.queries_issued;
-  if (job.dropped) {
-    ++status.queries_dropped_offline;
-  } else {
-    record_served(status, job);
-  }
-  query_slots_.release(event.slot);
-  // Chain the node's next arrival only while non-query work remains: when
-  // training/churn/WAN activity has quiesced, the chains drain and the run
-  // ends (N open-loop chains would otherwise keep each other alive).
-  if (non_query_queued_ > 0) schedule_query(event.node, event.time);
 }
 
 void SimEngine::run_barrier_queries(SimTime round_end) {
@@ -821,14 +755,9 @@ void SimEngine::run_barrier_queries(SimTime round_end) {
   // so no drops.
   const std::size_t n = hosts_.size();
   for (core::NodeId id = 0; id < n; ++id) {
-    NodeStatus& status = nodes_[id];
-    PendingQuery& next = barrier_query_next_[id];
-    while (next.arrival < round_end) {
-      ++status.queries_issued;
-      record_served(status, serve_query(id, next.arrival, next.user_pick));
-      next.arrival =
-          query_load_.next_arrival(id, next.arrival, query_rngs_[id]);
-      next.user_pick = query_rngs_[id].next_u64();
+    while (nodes_[id].query_arrival < round_end) {
+      answer_query(id);
+      draw_query(id, nodes_[id].query_arrival);
     }
   }
 }

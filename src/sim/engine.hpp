@@ -42,11 +42,13 @@
 // therefore entire ExperimentResults are identical for a given seed
 // regardless of worker-thread count.
 //
-// One path per job: both disciplines aggregate node epochs into a
-// RoundRecord through EpochBucket and answer queries through serve_query /
-// record_served. What differs is only the clock — the barrier's round time
-// (slowest node + one latency) versus the event engine's per-node
-// timelines.
+// One path per job (DESIGN.md §3): both disciplines take an epoch's
+// traffic as Transport::stats minus NodeStatus::traffic_mark (marks taken
+// at the start of initialize), aggregate node epochs into a RoundRecord
+// through sim::EpochBucket, and keep one pending query per node in its
+// NodeStatus (draw_query / answer_query). What differs is only the clock —
+// the barrier's round time (slowest node + one latency) versus the event
+// engine's per-node timelines.
 //
 // Scale: the queue is a bucketed calendar queue (O(1) amortized vs the
 // binary heap's O(log n), identical (time, seq) pop order — see
@@ -213,7 +215,10 @@ class SimEngine {
     /// Sum over completed rejoins of (completion - kChurnUp) — the
     /// re-attestation + resync latency; mean = sum / rejoins_completed.
     double rejoin_latency_sum_s = 0.0;
-    /// Cumulative traffic at the last kTest record (per-epoch deltas).
+    /// Cumulative traffic at this node's last epoch record: the record's
+    /// bytes in+out are Transport::stats() minus this mark. Taken at the
+    /// start of initialize() (attestation stays out of the epochs), then
+    /// moved at every record — kTest or a barrier round alike.
     net::TrafficStats traffic_mark;
     /// Sender-side wire-occupancy queue (WAN profiles only): outgoing
     /// envelopes serialize through this instead of propagating in parallel.
@@ -231,6 +236,12 @@ class SimEngine {
     /// When the node's current model became current (its last recorded
     /// epoch end) — the staleness zero point served to queries.
     SimTime model_fresh_at;
+    /// The node's one pending query (draw_query): its arrival time and the
+    /// raw user-pick draw, mapped onto the node's local-user list when the
+    /// query is answered (the list is fixed after ecall_init, so the
+    /// mapping is schedule-independent).
+    SimTime query_arrival;
+    std::uint64_t query_user_pick = 0;
   };
 
   /// Per-undirected-edge delivery counters, kept only when the LinkModel is
@@ -451,51 +462,22 @@ class SimEngine {
   /// (DESIGN.md §8 "Re-attestation sweep").
   void run_reattest_sweep(SimTime now);
 
-  /// One in-flight query, slot-addressed through Event::slot. The arrival
-  /// time and user pick are drawn at schedule time (serial phase); the math
-  /// phase fills in the answer fields.
-  struct QueryJob {
-    /// Raw u64 draw, mapped onto the node's local-user list in the math
-    /// phase (the list is fixed after ecall_init, so the mapping is
-    /// schedule-independent).
-    std::uint64_t user_pick = 0;
-    double latency_s = 0.0;
-    double staleness_s = 0.0;
-    bool dropped = false;     // replica offline at arrival
-  };
-
   // ===== serving path (DESIGN.md §9) =====
-  /// Draws `node`'s next arrival (strictly after `after`) plus its user
-  /// pick from the node's serving RNG stream and schedules the kQuery.
-  /// Serial phase only.
-  void schedule_query(core::NodeId node, SimTime after);
-  /// The replica model, shared by both disciplines: maps `user_pick` onto
-  /// the node's local users, runs top-k against its current model and
-  /// returns the answer's latency (replica wait + scoring compute) and
-  /// staleness. Reads the node's busy_until /
-  /// model_fresh_at stamps; touches no other node.
-  [[nodiscard]] QueryJob serve_query(core::NodeId node, SimTime arrival,
-                                     std::uint64_t user_pick);
-  /// Counts one served answer: per-node served/stale counters and the
-  /// latency/staleness percentile samples. Serial phase only.
-  void record_served(NodeStatus& status, const QueryJob& job);
-  /// Math side of one kQuery: offline drop check, else serve_query into
-  /// the job slot.
-  void apply_query_math(const Event& event);
-  /// Serial side: per-node counters, the percentile estimators, slot
-  /// release, and — while non-query work remains queued — the next arrival
-  /// of this node's chain (the guard keeps N query chains from keeping
-  /// each other, or a finished run, alive).
-  void account_query(const Event& event);
-  /// Barrier mode: serves every pre-drawn arrival before `round_end` after
+  /// Draws `node`'s next query — arrival strictly after `after`, then the
+  /// user pick, from the node's serving RNG stream — into its
+  /// NodeStatus::query_arrival / query_user_pick, and returns the arrival.
+  /// Both disciplines draw only here.
+  SimTime draw_query(core::NodeId node, SimTime after);
+  /// Answers the node's pending query, shared by both disciplines: counts
+  /// it issued, drops it if the replica's outage has begun, else maps the
+  /// user pick onto the node's local users, runs top-k against its current
+  /// model and records the latency (replica wait + scoring compute) and
+  /// staleness. Reads the node's busy_until / model_fresh_at stamps;
+  /// touches no other node's state.
+  void answer_query(core::NodeId node);
+  /// Barrier mode: answers every pending arrival before `round_end` after
   /// the round's math, walking nodes in id order (trivially deterministic).
   void run_barrier_queries(SimTime round_end);
-  /// Barrier mode's pre-drawn next arrival per node (the event queue is
-  /// not used during rounds).
-  struct PendingQuery {
-    SimTime arrival;
-    std::uint64_t user_pick = 0;
-  };
 
   /// One completed node epoch awaiting its kTest timestamp.
   struct PendingEpoch {
@@ -503,39 +485,6 @@ class SimEngine {
     StageTimes stages;  // already scaled by the epoch's slowdown
     SimTime start;
     SimTime end;
-  };
-  /// Node-epoch aggregation for one epoch index, shared by both
-  /// disciplines: a barrier round feeds its n nodes in id order, the event
-  /// engine each kTest as it fires; record() turns the sums into the
-  /// node-averaged RoundRecord. round_time and cumulative_time are left to
-  /// the caller — the one thing the disciplines disagree on.
-  struct EpochBucket {
-    std::size_t contributors = 0;
-    /// Sum over contributors of the online fraction at their kTest time
-    /// (reachable_fraction = reachable_sum / contributors).
-    double reachable_sum = 0.0;
-    double rmse_sum = 0.0;
-    double rmse_min = 0.0;
-    double rmse_max = 0.0;
-    StageTimes stage_sum;
-    StageTimes stage_max;
-    double bytes_sum = 0.0;
-    double mem_sum = 0.0;
-    double mem_max = 0.0;
-    double store_sum = 0.0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t bytes_saved = 0;  // wire bytes avoided by compression
-    SimTime duration_sum;  // event mode: sum of epoch durations
-    SimTime last_end;      // event mode: latest contributor's epoch end
-
-    /// Takes in one node's epoch: its counters, slowdown-scaled stage
-    /// times, wire bytes in+out, resident enclave memory and the online
-    /// fraction of the network when it was recorded.
-    void add(const core::EpochCounters& counters, const StageTimes& stages,
-             double bytes, double memory, double reachable);
-    /// The node-averaged record (epoch, nodes_reporting, every mean/min/max
-    /// column); round_time and cumulative_time stay zero.
-    [[nodiscard]] RoundRecord record(std::uint64_t epoch) const;
   };
 
   const core::RexConfig& rex_;
@@ -587,8 +536,6 @@ class SimEngine {
   // ===== Serving state (DESIGN.md §9; all empty with the load off) =====
   QueryLoad query_load_;
   std::vector<Rng> query_rngs_;         // one serving stream per node
-  SlotPool<QueryJob> query_slots_;      // kQuery
-  std::vector<PendingQuery> barrier_query_next_;  // barrier mode only
   PercentileEstimator query_latency_{1e-6, 1e3};
   PercentileEstimator query_staleness_{1e-6, 1e5};
   /// Queued events that are NOT kQuery. Query chains reschedule only while

@@ -37,11 +37,12 @@ enum class EventKind : std::uint8_t {
   /// sweep itself visits every pair.
   kReattestSweep,
   /// One open-loop inference query arrives at a node (DESIGN.md §9
-  /// "Serving path"). The top-k scoring runs in apply_event_math;
-  /// the serial hook accounts latency/staleness and chains the node's next
-  /// arrival. Event::slot addresses the QueryJob state. Only scheduled when
-  /// the query load is enabled, so serving-off runs keep their schedule
-  /// sequence numbers — and therefore their golden dumps — byte-identical.
+  /// "Serving path"). Each node has exactly one in flight, drawn into its
+  /// NodeStatus, so the event carries no slot. apply_event_math answers it
+  /// (top-k scoring, counters, latency/staleness); the serial hook chains
+  /// the node's next arrival. Only scheduled when the query load is
+  /// enabled, so serving-off runs keep their schedule sequence numbers —
+  /// and therefore their golden dumps — byte-identical.
   kQuery,
 };
 
@@ -66,7 +67,8 @@ struct Event {
   net::NodeId node = 0;
   EventKind kind = EventKind::kTrain;
   /// SlotPool id of the state this event carries (kDeliver: the in-flight
-  /// envelope; kShare: the outbox batch; kTest: the pending epoch record).
+  /// envelope; kShare: the outbox batch; kTest: the pending epoch record),
+  /// or kRejoinDeadline's rejoin generation; unused by the other kinds.
   /// Replaces the seq-keyed unordered_maps: resolving event state is an
   /// indexed vector read instead of a hash lookup per event.
   std::uint32_t slot = 0;

@@ -45,6 +45,41 @@ struct RoundRecord {
   std::uint64_t bytes_saved_compression = 0;
 };
 
+/// Node-epoch aggregation for one epoch index — the one record builder: a
+/// barrier round feeds its n nodes in id order, the event engine each kTest
+/// as it fires, and the rex_node daemon its own node's epochs. record()
+/// turns the sums into the node-averaged RoundRecord. round_time and
+/// cumulative_time are left to the caller — the one thing the clocks
+/// disagree on.
+struct EpochBucket {
+  std::size_t contributors = 0;
+  /// Sum over contributors of the online fraction at their kTest time
+  /// (reachable_fraction = reachable_sum / contributors).
+  double reachable_sum = 0.0;
+  double rmse_sum = 0.0;
+  double rmse_min = 0.0;
+  double rmse_max = 0.0;
+  StageTimes stage_sum;
+  StageTimes stage_max;
+  double bytes_sum = 0.0;
+  double mem_sum = 0.0;
+  double mem_max = 0.0;
+  double store_sum = 0.0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t bytes_saved = 0;  // wire bytes avoided by compression
+  SimTime duration_sum;  // event mode: sum of epoch durations
+  SimTime last_end;      // event mode: latest contributor's epoch end
+
+  /// Takes in one node's epoch: its counters, slowdown-scaled stage
+  /// times, wire bytes in+out, resident enclave memory and the online
+  /// fraction of the network when it was recorded.
+  void add(const core::EpochCounters& counters, const StageTimes& stages,
+           double bytes, double memory, double reachable);
+  /// The node-averaged record (epoch, nodes_reporting, every mean/min/max
+  /// column); round_time and cumulative_time stay zero.
+  [[nodiscard]] RoundRecord record(std::uint64_t epoch) const;
+};
+
 struct ExperimentResult {
   std::string label;
   std::vector<RoundRecord> rounds;

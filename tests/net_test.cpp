@@ -87,21 +87,6 @@ TEST(Transport, TrafficAccounting) {
   EXPECT_EQ(t.total_bytes_sent(), 175 + 3 * Envelope::kHeaderSize);
 }
 
-TEST(Transport, EpochStatsResettable) {
-  Transport t(2);
-  t.send(make(0, 1, 10));
-  t.flush_round();
-  EXPECT_EQ(t.epoch_stats(0).bytes_sent, 10 + Envelope::kHeaderSize);
-  t.reset_epoch_stats();
-  EXPECT_EQ(t.epoch_stats(0).bytes_sent, 0u);
-  // Cumulative stats survive the reset.
-  EXPECT_EQ(t.stats(0).bytes_sent, 10 + Envelope::kHeaderSize);
-  t.send(make(0, 1, 20));
-  t.flush_round();
-  EXPECT_EQ(t.epoch_stats(0).bytes_sent, 20 + Envelope::kHeaderSize);
-  EXPECT_EQ(t.stats(0).bytes_sent, 30 + 2 * Envelope::kHeaderSize);
-}
-
 TEST(Transport, Validation) {
   Transport t(2);
   EXPECT_THROW(t.send(make(0, 5, 1)), Error);
@@ -144,7 +129,6 @@ TEST(Transport, RecordDeliveryAccountsReceiveSide) {
   t.record_delivery(env);
   EXPECT_EQ(t.stats(1).messages_received, 1u);
   EXPECT_EQ(t.stats(1).bytes_received, 40 + Envelope::kHeaderSize);
-  EXPECT_EQ(t.epoch_stats(1).bytes_received, 40 + Envelope::kHeaderSize);
   EXPECT_EQ(t.stats(0).messages_sent, 0u);  // send side is record_send's job
 }
 

@@ -5,15 +5,16 @@
 // its own — that is the deployment model), on ephemeral loopback ports
 // discovered by pre-binding. The equivalence test then runs the identical
 // scenario through the in-process simulator and holds the two per-epoch
-// RMSE trajectories equal: native D-PSGD merges in neighbor-rank order, so
-// the socket run is deterministic despite wall-clock scheduling
-// (docs/deployment.md "Simulation equivalence").
+// records equal (RMSE, store size, duplicates dropped): native D-PSGD merges
+// in neighbor-rank order, so the socket run is deterministic despite
+// wall-clock scheduling (docs/deployment.md "Simulation equivalence").
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -82,9 +83,17 @@ std::string make_config_json(const std::string& security,
   return out.str();
 }
 
-/// Forks one run_node process per node. Each child writes its per-epoch
-/// RMSE series (full %.17g precision — the CSVs round to 6 decimals) to
-/// `out_dir`/rmse_<id>.txt and exits 0 on success. Returns true iff every
+/// One line of a child's per-epoch dump.
+struct EpochRow {
+  double rmse = 0.0;
+  double store_size = 0.0;
+  std::uint64_t duplicates_dropped = 0;
+};
+
+/// Forks one run_node process per node. Each child writes one line per
+/// epoch record — RMSE (full %.17g precision; the CSVs round to 6
+/// decimals), mean_store_size and duplicates_dropped — to
+/// `out_dir`/epochs_<id>.txt and exits 0 on success. Returns true iff every
 /// child exited cleanly.
 bool run_cluster(const ClusterConfig& config, const std::string& out_dir) {
   std::filesystem::create_directories(out_dir);
@@ -102,10 +111,13 @@ bool run_cluster(const ClusterConfig& config, const std::string& out_dir) {
         const NodeReport report =
             run_node(config, static_cast<net::NodeId>(id), options);
         const std::string path =
-            out_dir + "/rmse_" + std::to_string(id) + ".txt";
+            out_dir + "/epochs_" + std::to_string(id) + ".txt";
         if (std::FILE* file = std::fopen(path.c_str(), "w")) {
           for (const sim::RoundRecord& round : report.trajectory.rounds) {
-            std::fprintf(file, "%.17g\n", round.mean_rmse);
+            std::fprintf(file, "%.17g %.17g %llu\n", round.mean_rmse,
+                         round.mean_store_size,
+                         static_cast<unsigned long long>(
+                             round.duplicates_dropped));
           }
           std::fclose(file);
           code = 0;
@@ -126,12 +138,14 @@ bool run_cluster(const ClusterConfig& config, const std::string& out_dir) {
   return all_ok;
 }
 
-std::vector<double> read_series(const std::string& path) {
-  std::ifstream file(path);
-  std::vector<double> values;
-  double value = 0.0;
-  while (file >> value) values.push_back(value);
-  return values;
+std::vector<EpochRow> read_rows(const std::string& out_dir, std::size_t id) {
+  std::ifstream file(out_dir + "/epochs_" + std::to_string(id) + ".txt");
+  std::vector<EpochRow> rows;
+  EpochRow row;
+  while (file >> row.rmse >> row.store_size >> row.duplicates_dropped) {
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 TEST(SocketCluster, NativeDpsgdMatchesSimulatedTwin) {
@@ -148,25 +162,35 @@ TEST(SocketCluster, NativeDpsgdMatchesSimulatedTwin) {
       sim::run_scenario(config.scenario);
   ASSERT_EQ(sim_result.rounds.size(), config.scenario.epochs + 1);
 
-  std::vector<std::vector<double>> node_series;
+  std::vector<std::vector<EpochRow>> node_rows;
   for (std::size_t id = 0; id < config.nodes.size(); ++id) {
-    node_series.push_back(
-        read_series(out_dir + "/rmse_" + std::to_string(id) + ".txt"));
-    ASSERT_EQ(node_series.back().size(), sim_result.rounds.size())
+    node_rows.push_back(read_rows(out_dir, id));
+    ASSERT_EQ(node_rows.back().size(), sim_result.rounds.size())
         << "node " << id << " recorded a different epoch count";
   }
 
   // Native D-PSGD merges per neighbor rank — arrival order (the only thing
   // wall-clock scheduling perturbs) cannot change the math, so the socket
-  // trajectory equals the simulated one to double precision.
+  // records equal the simulated ones: RMSE to double precision, the raw-data
+  // store and its duplicate count exactly. Each daemon builds its records
+  // through the simulator's EpochBucket, so this also pins that builder.
+  const double nodes = static_cast<double>(node_rows.size());
   for (std::size_t epoch = 0; epoch < sim_result.rounds.size(); ++epoch) {
-    double mean = 0.0;
-    for (const std::vector<double>& series : node_series) {
-      mean += series[epoch];
+    const sim::RoundRecord& twin = sim_result.rounds[epoch];
+    double rmse_sum = 0.0;
+    double store_sum = 0.0;
+    std::uint64_t duplicates = 0;
+    for (const std::vector<EpochRow>& rows : node_rows) {
+      rmse_sum += rows[epoch].rmse;
+      store_sum += rows[epoch].store_size;
+      duplicates += rows[epoch].duplicates_dropped;
     }
-    mean /= static_cast<double>(node_series.size());
-    EXPECT_NEAR(mean, sim_result.rounds[epoch].mean_rmse, 1e-12)
+    EXPECT_NEAR(rmse_sum / nodes, twin.mean_rmse, 1e-12)
         << "diverged at epoch " << epoch;
+    EXPECT_DOUBLE_EQ(store_sum / nodes, twin.mean_store_size)
+        << "store size diverged at epoch " << epoch;
+    EXPECT_EQ(duplicates, twin.duplicates_dropped)
+        << "duplicate count diverged at epoch " << epoch;
   }
 
   std::filesystem::remove_all(out_dir);
@@ -187,10 +211,9 @@ TEST(SocketCluster, SecureClusterAttestsOverSockets) {
       << "secure cluster failed to converge over sockets";
 
   for (std::size_t id = 0; id < config.nodes.size(); ++id) {
-    const std::vector<double> series =
-        read_series(out_dir + "/rmse_" + std::to_string(id) + ".txt");
-    ASSERT_EQ(series.size(), config.scenario.epochs + 1);
-    EXPECT_GT(series.back(), 0.0);
+    const std::vector<EpochRow> rows = read_rows(out_dir, id);
+    ASSERT_EQ(rows.size(), config.scenario.epochs + 1);
+    EXPECT_GT(rows.back().rmse, 0.0);
   }
   std::filesystem::remove_all(out_dir);
 }
